@@ -12,33 +12,30 @@
 //!
 //! Sweep-engine flags: `--threads N` runs the figure simulations on `N`
 //! workers (`0` = all cores, the default; output is bit-identical at any
-//! thread count), `--quick` shrinks the trace to the 2-ms smoke
-//! configuration, and `--timing-out FILE` times the full figure matrix
-//! serially and in parallel and writes the comparison as JSON (the
-//! committed `BENCH_sweep.json` baseline).
+//! thread count), and `--quick` shrinks the trace to the 2-ms smoke
+//! configuration.
 //!
-//! Engine self-profiling flags: `--prof-out FILE` writes the engine
-//! profile of everything the run executed — deterministic hot-path
-//! counters (events dispatched, heap pushes/pops, max calendar depth,
-//! transfers, requests, memo/trace-cache hits per figure) plus wall-clock
-//! events/sec — as JSON (the committed `BENCH_engine.json` baseline the
-//! `perf_diff` gate compares against); its confirmation goes to stderr so
-//! stdout stays byte-identical with and without profiling. Per-figure
-//! attribution requires a per-figure exhibit or `all`. `--prof-summary`
-//! prints the same profile as a table with a wall-clock phase breakdown.
+//! Engine self-profiling: `--prof-out FILE` writes the deterministic
+//! engine counters of everything the run executed (events dispatched,
+//! heap pushes/pops, max calendar depth, transfers, requests, memo and
+//! trace-cache hits per figure, per-phase calls) as JSON — the committed
+//! `BENCH_engine.json` baseline the `baseline_diff` gate compares against.
+//! Its confirmation goes to stderr so stdout stays byte-identical with
+//! and without it. Per-figure attribution requires a per-figure exhibit
+//! or `all`. Host time is measured by the `benchmark/` harness, not here.
 //!
 //! Observability flags add an instrumented DMA-TA-PL(2) run on OLTP-St:
 //! `--events-out FILE` exports its structured event stream as JSONL,
 //! `--metrics-out FILE` writes the metrics-registry snapshot as JSON, and
 //! `--obs-summary` prints the per-run summary (counters, slack ledger,
-//! replayed guarantee verdict, span timings).
+//! replayed guarantee verdict, engine counters).
 //!
 //! The `trace-report` exhibit runs the Figure-2 workloads (plus OLTP-St
 //! under DMA-TA-PL(2)) with transfer-level causal tracing:
 //! `--trace-out FILE` writes the DMA-TA run's span trace as Chrome
 //! `trace_event` JSON (open at <https://ui.perfetto.dev>), `--attrib-out
 //! FILE` writes the energy-waste attribution report consumed by the
-//! `trace_diff` regression differ, `--attrib-summary` prints per-run
+//! `baseline_diff` gate, `--attrib-summary` prints per-run
 //! bucket percentages, and `--check` validates every span tree and the
 //! bucket-sum invariant, failing the process on any violation.
 //! `--trace-spill N` shrinks the exported run's span ring to `N` records
@@ -78,12 +75,10 @@ fn main() -> ExitCode {
     let mut threads = 0usize;
     let mut quick = false;
     let mut csv_dir: Option<PathBuf> = None;
-    let mut timing_out: Option<PathBuf> = None;
     let mut events_out: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut obs_summary = false;
     let mut prof_out: Option<PathBuf> = None;
-    let mut prof_summary = false;
     let mut trace_out: Option<PathBuf> = None;
     let mut attrib_out: Option<PathBuf> = None;
     let mut attrib_summary = false;
@@ -113,10 +108,6 @@ fn main() -> ExitCode {
                 Some(dir) => csv_dir = Some(PathBuf::from(dir)),
                 None => return usage("--csv needs a directory"),
             },
-            "--timing-out" => match args.next() {
-                Some(f) => timing_out = Some(PathBuf::from(f)),
-                None => return usage("--timing-out needs a file"),
-            },
             "--events-out" => match args.next() {
                 Some(f) => events_out = Some(PathBuf::from(f)),
                 None => return usage("--events-out needs a file"),
@@ -130,7 +121,6 @@ fn main() -> ExitCode {
                 Some(f) => prof_out = Some(PathBuf::from(f)),
                 None => return usage("--prof-out needs a file"),
             },
-            "--prof-summary" => prof_summary = true,
             "--trace-out" => match args.next() {
                 Some(f) => trace_out = Some(PathBuf::from(f)),
                 None => return usage("--trace-out needs a file"),
@@ -165,11 +155,6 @@ fn main() -> ExitCode {
         seed,
     };
     let mut runner = SweepRunner::new(threads);
-    if prof_out.is_some() || prof_summary {
-        // Arms the wall-clock phase timers; deterministic counters are
-        // always collected and results stay byte-identical either way.
-        runner = runner.with_profiling(true);
-    }
     let mut server: Option<ServerHandle> = None;
     if let Some(addr) = &serve_addr {
         let state = Arc::new(LiveState::new());
@@ -469,38 +454,16 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &timing_out {
+    if let Some(path) = &prof_out {
         matched = true;
-        section("Sweep engine: serial vs parallel figure matrix");
-        let report = bench::sweep::timing_report(exp, threads);
-        print!("{}", report.to_markdown_table());
-        println!(
-            "({} worker(s) on {} core(s); memo {} hits / {} misses)",
-            report.threads, report.cores, report.memo.hits, report.memo.misses
-        );
+        let report = bench::perf_report::EngineReport::from_runner(&runner, ms as f64, seed);
         if let Err(e) = fs::write(path, report.to_json()) {
             eprintln!("error: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("(timing baseline written to {})", path.display());
-    }
-
-    if prof_out.is_some() || prof_summary {
-        matched = true;
-        let report = bench::perf_report::EngineReport::from_runner(&runner, ms as f64, seed);
-        if prof_summary {
-            section("Engine profile: hot-path counters and throughput");
-            print!("{}", report.summary());
-        }
-        if let Some(path) = &prof_out {
-            if let Err(e) = fs::write(path, report.to_json()) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            // Confirmation on stderr: --prof-out must leave stdout
-            // byte-identical to an unprofiled run.
-            eprintln!("(engine profile written to {})", path.display());
-        }
+        // Confirmation on stderr: --prof-out must leave stdout
+        // byte-identical to a run without it.
+        eprintln!("(engine profile written to {})", path.display());
     }
 
     if !matched {
@@ -527,7 +490,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: experiments [table1|table2|fig2a|fig2b|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|groups|tpch|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--timing-out FILE] [--prof-out FILE] [--prof-summary] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--trace-spill N] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]"
+        "usage: experiments [table1|table2|fig2a|fig2b|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|groups|tpch|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--prof-out FILE] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--trace-spill N] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -4,18 +4,19 @@
 //! Every table and figure of the paper's evaluation section has a
 //! corresponding renderer here; the underlying data comes from
 //! [`dmamem::experiments`]. The [`sweep`] module orchestrates whole
-//! figure matrices on the parallel sweep engine and emits the
-//! `BENCH_sweep.json` timing baseline.
+//! figure matrices on the parallel sweep engine, [`perf_report`] renders
+//! their engine counters as the `BENCH_engine.json` baseline, and
+//! [`baseline_diff`] gates deterministic artifacts against their
+//! committed baselines.
 
 use dmamem::experiments::{
     self, ExpConfig, Fig10Row, Fig5Row, Fig7Row, Fig8Row, Fig9Row, Workload,
 };
 use mempower::{EnergyBreakdown, EnergyCategory};
 
-pub mod perf_diff;
+pub mod baseline_diff;
 pub mod perf_report;
 pub mod sweep;
-pub mod trace_diff;
 
 /// Renders an energy breakdown as a one-line percentage summary.
 pub fn breakdown_line(e: &EnergyBreakdown) -> String {
@@ -140,7 +141,7 @@ pub fn table2_rows_text(rows: &[(String, dma_trace::TraceStats)]) -> String {
 
 /// Renders the observability summary of an instrumented run: top-line
 /// counters, the slack ledger by cause, the guarantee verdict re-derived
-/// from the event ledger, and profiling spans.
+/// from the event ledger, and the engine's self-profile counters.
 pub fn obs_summary_table(run: &experiments::ObservedRun) -> String {
     let verdict = |met: bool| if met { "MET" } else { "VIOLATED" };
     let r = &run.result;
@@ -212,19 +213,6 @@ pub fn obs_summary_table(run: &experiments::ObservedRun) -> String {
         r.profile.transfers,
         r.profile.requests
     ));
-    if let Some(h) = m.histograms.get("span.engine_dispatch_ns") {
-        let mean = if h.count == 0 {
-            0.0
-        } else {
-            h.sum as f64 / h.count as f64
-        };
-        out.push_str(&format!(
-            "spans     engine_dispatch: {} samples, mean {:.0} ns, p99 ~{} ns\n",
-            h.count,
-            mean,
-            h.quantile(0.99)
-        ));
-    }
     out
 }
 

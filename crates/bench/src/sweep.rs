@@ -6,10 +6,9 @@
 //! baselines memoize *across* figures — the OLTP-St baseline that Figure 5
 //! simulates is the one Figures 6 and 7 read back for free.
 //!
-//! [`timing_report`] runs the full figure matrix twice — once on a fresh
-//! serial context, once on a fresh parallel one — and returns a
-//! [`TimingReport`] that renders as the committed `BENCH_sweep.json`
-//! baseline and as the timing table in `EXPERIMENTS.md`.
+//! [`SweepRunner::timed`] is where the simulator's host time per figure is
+//! measured, from outside the engine; the `benchmark/` harness reports it
+//! as `bench.figure_s.*`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,8 +21,6 @@ use dmamem::experiments::{
 use dmamem::sweep::{MemoStats, ProfTotals, SweepCtx};
 use mempower::EnergyBreakdown;
 use simcore::obs::{LiveState, SpillSink};
-
-use crate::{ALL_WORKLOADS, BUS_RATE_SWEEP, CP_SWEEP, INTENSITY_SWEEP, PROC_SWEEP};
 
 /// Wall-clock time and engine accounting of one figure run.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,14 +57,6 @@ impl SweepRunner {
             timings: Vec::new(),
             live: None,
         }
-    }
-
-    /// Arms wall-clock phase timers on every simulation (deterministic
-    /// profile counters are collected either way; results stay
-    /// bit-identical — see [`dmamem::sweep::SweepCtx::with_profiling`]).
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.ctx = self.ctx.with_profiling(on);
-        self
     }
 
     /// Attaches shared live-telemetry state (see
@@ -251,194 +240,6 @@ impl SweepRunner {
     }
 }
 
-/// Runs the full simulation-heavy figure matrix on `runner` with the
-/// paper's standard sweeps.
-pub fn run_figure_matrix(runner: &mut SweepRunner, exp: ExpConfig) {
-    runner.table2(exp);
-    runner.fig2b(exp);
-    runner.fig5(exp, &ALL_WORKLOADS, &CP_SWEEP);
-    runner.fig6(exp, 0.10);
-    runner.fig7(exp, &CP_SWEEP);
-    runner.fig8(exp, &INTENSITY_SWEEP, 0.10);
-    runner.fig9(exp, &PROC_SWEEP, 0.10);
-    runner.fig10(exp, &BUS_RATE_SWEEP, 0.10);
-    runner.group_ablation(exp, 0.10);
-    runner.tpch(exp, 0.10);
-}
-
-/// One row of a [`TimingReport`]: a figure timed serially and in parallel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FigComparison {
-    /// Exhibit name.
-    pub figure: String,
-    /// Wall-clock on the one-worker context, milliseconds.
-    pub serial_ms: f64,
-    /// Wall-clock on the parallel context, milliseconds.
-    pub parallel_ms: f64,
-    /// Memoized results this figure consumed on the parallel context
-    /// (the serial context's counts are identical by construction:
-    /// dedup order is deterministic).
-    pub memo_hits: u64,
-    /// Simulations this figure executed on the parallel context.
-    pub memo_misses: u64,
-}
-
-impl FigComparison {
-    /// Serial over parallel wall-clock.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            1.0
-        }
-    }
-}
-
-/// The serial-versus-parallel timing baseline for the full figure matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingReport {
-    /// Worker threads of the parallel run.
-    pub threads: usize,
-    /// Hardware threads the host reports.
-    pub cores: usize,
-    /// Simulated trace length per run, milliseconds.
-    pub trace_ms: f64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Per-figure comparisons, in matrix order.
-    pub figures: Vec<FigComparison>,
-    /// Memoization statistics of the parallel run (the serial run's are
-    /// identical by construction).
-    pub memo: MemoStats,
-}
-
-impl TimingReport {
-    /// Total serial wall-clock, milliseconds.
-    pub fn serial_total_ms(&self) -> f64 {
-        self.figures.iter().map(|f| f.serial_ms).sum()
-    }
-
-    /// Total parallel wall-clock, milliseconds.
-    pub fn parallel_total_ms(&self) -> f64 {
-        self.figures.iter().map(|f| f.parallel_ms).sum()
-    }
-
-    /// Whole-matrix speedup.
-    pub fn speedup(&self) -> f64 {
-        let p = self.parallel_total_ms();
-        if p > 0.0 {
-            self.serial_total_ms() / p
-        } else {
-            1.0
-        }
-    }
-
-    /// Renders the report as the machine-readable `BENCH_sweep.json`
-    /// baseline.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"bench\": \"sweep\",\n");
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"trace_ms\": {},\n", self.trace_ms));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"figures\": [\n");
-        for (i, f) in self.figures.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"figure\": \"{}\", \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.3}, \"memo_hits\": {}, \"memo_misses\": {}}}{}\n",
-                f.figure,
-                f.serial_ms,
-                f.parallel_ms,
-                f.speedup(),
-                f.memo_hits,
-                f.memo_misses,
-                if i + 1 < self.figures.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"serial_total_ms\": {:.3},\n",
-            self.serial_total_ms()
-        ));
-        out.push_str(&format!(
-            "  \"parallel_total_ms\": {:.3},\n",
-            self.parallel_total_ms()
-        ));
-        out.push_str(&format!("  \"speedup\": {:.3},\n", self.speedup()));
-        out.push_str(&format!(
-            "  \"memo\": {{\"hits\": {}, \"misses\": {}, \"trace_hits\": {}, \"trace_misses\": {}}}\n",
-            self.memo.hits, self.memo.misses, self.memo.trace_hits, self.memo.trace_misses
-        ));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Renders the report as the markdown timing table `EXPERIMENTS.md`
-    /// embeds.
-    pub fn to_markdown_table(&self) -> String {
-        let mut out =
-            String::from("| figure | serial (ms) | parallel (ms) | speedup | memo (hit/miss) |\n");
-        out.push_str("|---|---:|---:|---:|---:|\n");
-        for f in &self.figures {
-            out.push_str(&format!(
-                "| {} | {:.1} | {:.1} | {:.2}x | {}/{} |\n",
-                f.figure,
-                f.serial_ms,
-                f.parallel_ms,
-                f.speedup(),
-                f.memo_hits,
-                f.memo_misses
-            ));
-        }
-        out.push_str(&format!(
-            "| **total** | **{:.1}** | **{:.1}** | **{:.2}x** | **{}/{}** |\n",
-            self.serial_total_ms(),
-            self.parallel_total_ms(),
-            self.speedup(),
-            self.memo.hits,
-            self.memo.misses
-        ));
-        out
-    }
-}
-
-/// Times the full figure matrix serially and in parallel (on fresh
-/// contexts, so memoization cannot leak between the two measurements) and
-/// returns the comparison.
-pub fn timing_report(exp: ExpConfig, threads: usize) -> TimingReport {
-    let mut serial = SweepRunner::new(1);
-    run_figure_matrix(&mut serial, exp);
-    let mut parallel = SweepRunner::new(threads);
-    run_figure_matrix(&mut parallel, exp);
-    let figures = serial
-        .timings()
-        .iter()
-        .zip(parallel.timings())
-        .map(|(s, p)| {
-            debug_assert_eq!(s.figure, p.figure);
-            debug_assert_eq!(
-                (s.memo_hits, s.memo_misses),
-                (p.memo_hits, p.memo_misses),
-                "memo accounting must not depend on thread count"
-            );
-            FigComparison {
-                figure: s.figure.clone(),
-                serial_ms: s.ms,
-                parallel_ms: p.ms,
-                memo_hits: p.memo_hits,
-                memo_misses: p.memo_misses,
-            }
-        })
-        .collect();
-    TimingReport {
-        threads: parallel.threads(),
-        cores: simcore::par::available_threads(),
-        trace_ms: exp.duration.as_ns_f64() / 1e6,
-        seed: exp.seed,
-        figures,
-        memo: parallel.memo_stats(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,48 +276,5 @@ mod tests {
             assert!(f.memo_hits > 0, "{}", f.figure);
             assert_eq!((f.prof.sims, f.prof.events), (0, 0), "{}", f.figure);
         }
-    }
-
-    #[test]
-    fn timing_report_renders_json_and_table() {
-        let report = TimingReport {
-            threads: 4,
-            cores: 8,
-            trace_ms: 2.0,
-            seed: 42,
-            figures: vec![
-                FigComparison {
-                    figure: "fig5".into(),
-                    serial_ms: 100.0,
-                    parallel_ms: 40.0,
-                    memo_hits: 2,
-                    memo_misses: 3,
-                },
-                FigComparison {
-                    figure: "fig7".into(),
-                    serial_ms: 10.0,
-                    parallel_ms: 10.0,
-                    memo_hits: 5,
-                    memo_misses: 0,
-                },
-            ],
-            memo: MemoStats {
-                hits: 7,
-                misses: 3,
-                trace_hits: 5,
-                trace_misses: 2,
-            },
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"sweep\""));
-        assert!(json.contains("\"serial_total_ms\": 110.000"));
-        assert!(json.contains("\"speedup\": 2.200"));
-        assert!(json.contains("\"figure\": \"fig5\""));
-        assert!(json.contains("\"misses\": 3"));
-        assert!(json.contains("\"memo_hits\": 2, \"memo_misses\": 3"));
-        let table = report.to_markdown_table();
-        assert!(table.contains("| fig5 | 100.0 | 40.0 | 2.50x | 2/3 |"));
-        assert!(table.contains("**2.20x**"));
-        assert!(table.contains("**7/3**"));
     }
 }

@@ -901,8 +901,8 @@ pub fn tpch_ctx(ctx: &SweepCtx, exp: ExpConfig, cp_limit: f64) -> Vec<TpchRow> {
 // Observability
 
 /// An observability-instrumented run (see
-/// [`crate::ServerSimulator::with_observability`]): metrics registry,
-/// structured event sink, and span timers all enabled.
+/// [`crate::ServerSimulator::with_observability`]): metrics registry and
+/// structured event sink enabled.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
     /// Workload label.

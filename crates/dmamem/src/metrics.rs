@@ -67,9 +67,7 @@ pub struct SimResult {
     /// Causal span trace, if tracing was requested (see
     /// [`crate::ServerSimulator::with_tracing`]).
     pub trace: Option<TraceBuffer>,
-    /// Engine self-profile: deterministic hot-path counters (always
-    /// collected) plus wall-clock phase ns when
-    /// [`crate::ServerSimulator::with_profiling`] armed them.
+    /// Engine self-profile: deterministic hot-path counters.
     pub profile: EngineProfile,
 }
 

@@ -68,8 +68,6 @@ pub const METRIC_KEYS: &[&str] = &[
 /// Every engine self-profiling metric key, in registration order — the
 /// deterministic counters of [`simcore::EngineProfile`], published into
 /// the metrics snapshot at end of run (see [`Obs::publish_prof`]).
-/// Wall-clock phase timings are deliberately *not* published: the
-/// snapshot must stay byte-identical whether profiling is armed or not.
 /// The `prof_keys_match_publication` test pins this list to what
 /// [`Obs::publish_prof`] actually writes; the simlint `obs-key` rule
 /// checks `dmamem.prof.*` string literals against it.
@@ -569,11 +567,8 @@ impl Obs {
         self.wants_activity() || self.metrics.is_some()
     }
 
-    /// Publishes the *deterministic* engine self-profile counters into
-    /// the metrics registry (once, at end of run). Wall-clock phase ns
-    /// never reach the registry, so metric snapshots — and everything
-    /// rendered from them — are byte-identical with profiling armed or
-    /// not. Key order matches [`PROF_KEYS`].
+    /// Publishes the engine self-profile counters into the metrics
+    /// registry (once, at end of run). Key order matches [`PROF_KEYS`].
     pub fn publish_prof(&self, profile: &simcore::EngineProfile) {
         let Some(m) = &self.metrics else { return };
         let values = [
@@ -1121,19 +1116,15 @@ mod tests {
         let reg = MetricsRegistry::new();
         let mut obs = Obs::new(1);
         obs.metrics = Some(ObsMetrics::new(&reg));
-        let mut profile = simcore::EngineProfile {
+        let profile = simcore::EngineProfile {
             events: 11,
             heap_pushes: 12,
             heap_pops: 13,
             max_heap_depth: 14,
             transfers: 15,
             requests: 16,
-            timed: true,
             ..simcore::EngineProfile::default()
         };
-        profile
-            .phases
-            .add_ns(simcore::prof::Phase::Dispatch, 99_999);
         obs.publish_prof(&profile);
         let snap = reg.snapshot();
         let expect: [(&str, u64); 6] = [
@@ -1148,8 +1139,7 @@ mod tests {
             assert!(PROF_KEYS.contains(&key));
             assert_eq!(snap.counter(key), Some(v), "{key}");
         }
-        // Wall-clock ns must never reach the registry: nothing beyond the
-        // registered keys appears, even though the profile carried phase ns.
+        // Nothing beyond the registered keys appears.
         for key in snap.counters.keys() {
             let key: &str = key;
             assert!(

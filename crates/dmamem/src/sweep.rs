@@ -130,15 +130,13 @@ pub struct MemoStats {
 
 /// Aggregated engine self-profile across every simulation a [`SweepCtx`]
 /// actually executed (memo hits do not re-run the engine, so they do not
-/// re-count). All fields except `phase_ns` are deterministic: sums and
-/// maxima of per-run deterministic counters commute, so totals are
-/// bit-identical at any thread count.
+/// re-count). Every field is deterministic: sums and maxima of per-run
+/// deterministic counters commute, so totals are bit-identical at any
+/// thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProfTotals {
     /// Simulations executed.
     pub sims: u64,
-    /// Simulations that ran with wall-clock phase timing armed.
-    pub timed_sims: u64,
     /// Events dispatched across all runs.
     pub events: u64,
     /// Calendar heap pushes across all runs.
@@ -153,9 +151,6 @@ pub struct ProfTotals {
     pub requests: u64,
     /// Per-phase call counts, indexed in [`Phase::ALL`] order.
     pub phase_calls: [u64; 4],
-    /// Per-phase wall-clock ns (zero unless profiling was armed;
-    /// host-dependent — never gate on these).
-    pub phase_ns: [u64; 4],
 }
 
 impl ProfTotals {
@@ -167,7 +162,6 @@ impl ProfTotals {
         let sub4 = |a: [u64; 4], b: [u64; 4]| [a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]];
         ProfTotals {
             sims: self.sims - earlier.sims,
-            timed_sims: self.timed_sims - earlier.timed_sims,
             events: self.events - earlier.events,
             heap_pushes: self.heap_pushes - earlier.heap_pushes,
             heap_pops: self.heap_pops - earlier.heap_pops,
@@ -175,7 +169,6 @@ impl ProfTotals {
             transfers: self.transfers - earlier.transfers,
             requests: self.requests - earlier.requests,
             phase_calls: sub4(self.phase_calls, earlier.phase_calls),
-            phase_ns: sub4(self.phase_ns, earlier.phase_ns),
         }
     }
 }
@@ -186,7 +179,6 @@ impl ProfTotals {
 #[derive(Debug, Default)]
 struct ProfAccum {
     sims: AtomicU64,
-    timed_sims: AtomicU64,
     events: AtomicU64,
     heap_pushes: AtomicU64,
     heap_pops: AtomicU64,
@@ -195,13 +187,11 @@ struct ProfAccum {
     transfers: AtomicU64,
     requests: AtomicU64,
     phase_calls: [AtomicU64; 4],
-    phase_ns: [AtomicU64; 4],
 }
 
 impl ProfAccum {
     fn record(&self, p: &EngineProfile) {
         self.sims.fetch_add(1, Ordering::Relaxed);
-        self.timed_sims.fetch_add(p.timed as u64, Ordering::Relaxed);
         self.events.fetch_add(p.events, Ordering::Relaxed);
         self.heap_pushes.fetch_add(p.heap_pushes, Ordering::Relaxed);
         self.heap_pops.fetch_add(p.heap_pops, Ordering::Relaxed);
@@ -211,33 +201,24 @@ impl ProfAccum {
             .fetch_max(p.max_heap_depth, Ordering::Relaxed);
         self.transfers.fetch_add(p.transfers, Ordering::Relaxed);
         self.requests.fetch_add(p.requests, Ordering::Relaxed);
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            let stat = p.phases.get(*phase);
-            self.phase_calls[i].fetch_add(stat.calls, Ordering::Relaxed);
-            self.phase_ns[i].fetch_add(stat.ns, Ordering::Relaxed);
+        for (calls, phase) in self.phase_calls.iter().zip(Phase::ALL) {
+            calls.fetch_add(p.phases.get(phase).calls, Ordering::Relaxed);
         }
     }
 
     fn totals(&self) -> ProfTotals {
-        let load4 = |a: &[AtomicU64; 4]| {
-            [
-                a[0].load(Ordering::Relaxed),
-                a[1].load(Ordering::Relaxed),
-                a[2].load(Ordering::Relaxed),
-                a[3].load(Ordering::Relaxed),
-            ]
-        };
         ProfTotals {
             sims: self.sims.load(Ordering::Relaxed),
-            timed_sims: self.timed_sims.load(Ordering::Relaxed),
             events: self.events.load(Ordering::Relaxed),
             heap_pushes: self.heap_pushes.load(Ordering::Relaxed),
             heap_pops: self.heap_pops.load(Ordering::Relaxed),
             max_heap_depth: self.depth_max.load(Ordering::Relaxed),
             transfers: self.transfers.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
-            phase_calls: load4(&self.phase_calls),
-            phase_ns: load4(&self.phase_ns),
+            phase_calls: self
+                .phase_calls
+                .each_ref()
+                .map(|a| a.load(Ordering::Relaxed)),
         }
     }
 }
@@ -270,7 +251,6 @@ impl ProfAccum {
 pub struct SweepCtx {
     threads: usize,
     memoize: bool,
-    profiling: bool,
     live: Option<Arc<LiveState>>,
     prof: ProfAccum,
     // simlint::allow(nondet-iter, "memo cache: results are read back per key, never iterated; order cannot reach sim output")
@@ -290,7 +270,6 @@ impl SweepCtx {
         SweepCtx {
             threads: par::resolve_threads(threads),
             memoize: true,
-            profiling: false,
             live: None,
             prof: ProfAccum::default(),
             // simlint::allow(nondet-iter, "memo cache construction; see field comment — lookups only")
@@ -315,15 +294,6 @@ impl SweepCtx {
     /// results; sweeps want it on.
     pub fn with_memoize(mut self, on: bool) -> Self {
         self.memoize = on;
-        self
-    }
-
-    /// Arms wall-clock phase timers on every simulation this context
-    /// executes (see [`ServerSimulator::with_profiling`]). Deterministic
-    /// [`ProfTotals`] counters accumulate either way; this only adds the
-    /// host-dependent `phase_ns` totals. Results stay bit-identical.
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
         self
     }
 
@@ -357,13 +327,10 @@ impl SweepCtx {
         self.prof.depth_window_max.swap(0, Ordering::Relaxed)
     }
 
-    /// Runs one job's simulator with this context's profiling setting and
-    /// folds the run's profile into the accumulator.
+    /// Runs one job's simulator and folds the run's profile into the
+    /// accumulator.
     fn simulate(&self, job: SimJob) -> Arc<SimResult> {
         let mut sim = ServerSimulator::new(job.config, job.scheme);
-        if self.profiling {
-            sim = sim.with_profiling();
-        }
         if let Some(live) = &self.live {
             sim = sim.with_live(Arc::clone(live));
         }
@@ -619,7 +586,6 @@ mod tests {
         assert_eq!(t.sims, 1);
         assert!(t.events > 0 && t.heap_pushes >= t.heap_pops);
         assert!(t.max_heap_depth > 0);
-        assert_eq!(t.phase_ns, [0; 4], "profiling off: no wall-clock ns");
         // Loop phases dispatch every event; the stats phase runs once per sim.
         assert_eq!(t.phase_calls.iter().sum::<u64>(), t.events + t.sims);
         assert_eq!(ctx.take_window_max_depth(), t.max_heap_depth);
@@ -628,24 +594,5 @@ mod tests {
         let _ = ctx.run(&small_config(), Scheme::baseline(), &trace);
         let d = ctx.prof_totals().since(&t);
         assert_eq!((d.sims, d.events, d.heap_pushes), (0, 0, 0));
-    }
-
-    #[test]
-    fn profiling_arms_wall_clock_without_changing_results() {
-        let plain = SweepCtx::serial();
-        let prof = SweepCtx::serial().with_profiling(true);
-        let a = {
-            let tr = tiny_trace(&plain, 7);
-            plain.run(&small_config(), Scheme::dma_ta(0.5), &tr)
-        };
-        let b = {
-            let tr = tiny_trace(&prof, 7);
-            prof.run(&small_config(), Scheme::dma_ta(0.5), &tr)
-        };
-        assert_eq!(a.energy, b.energy);
-        assert!(a.profile.deterministic_eq(&b.profile));
-        assert!(!a.profile.timed && b.profile.timed);
-        assert_eq!(prof.prof_totals().timed_sims, 1);
-        assert!(prof.prof_totals().phase_ns.iter().sum::<u64>() > 0);
     }
 }

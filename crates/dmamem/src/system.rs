@@ -22,8 +22,8 @@ use dma_trace::{Trace, TraceEvent};
 use iobus::{Bus, BusId, DmaRequest, DmaTransfer, IssueOutcome, PageId, TransferId};
 use mempower::policy::PowerPolicy;
 use mempower::{Chip, ChipPhase, EnergyBreakdown, EnergyCategory, PowerMode};
-use simcore::obs::{EventSink, LiveState, MetricsRegistry, SpanTimer, SpillSink};
-use simcore::prof::{EngineProfile, Phase, PhaseProfile, Stopwatch};
+use simcore::obs::{EventSink, LiveState, MetricsRegistry, SpillSink};
+use simcore::prof::{EngineProfile, Phase, PhaseProfile};
 use simcore::stats::DurationStats;
 use simcore::{EventQueue, SimDuration, SimTime, Slab};
 
@@ -51,7 +51,6 @@ pub struct ServerSimulator {
     tracing: Option<usize>,
     trace_spill: Option<SpillSink>,
     live: Option<Arc<LiveState>>,
-    profiling: bool,
     classic: bool,
 }
 
@@ -72,7 +71,6 @@ impl ServerSimulator {
             tracing: None,
             trace_spill: None,
             live: None,
-            profiling: false,
             classic: false,
         }
     }
@@ -87,18 +85,6 @@ impl ServerSimulator {
     /// issues.
     pub fn with_classic_event_core(mut self) -> Self {
         self.classic = true;
-        self
-    }
-
-    /// Arms wall-clock phase timers in the engine self-profile.
-    ///
-    /// The deterministic [`EngineProfile`] counters (events, heap ops,
-    /// allocations, phase call counts) are collected on every run; this
-    /// switch only adds per-phase elapsed-nanosecond totals, which are
-    /// host-dependent. Simulated results stay byte-identical either way
-    /// (see `tests/prof_determinism.rs`).
-    pub fn with_profiling(mut self) -> Self {
-        self.profiling = true;
         self
     }
 
@@ -188,7 +174,6 @@ impl ServerSimulator {
     /// Panics if the trace references an out-of-range page or bus.
     pub fn run(&self, trace: &Trace) -> SimResult {
         let mut engine = Engine::new(&self.config, &self.scheme);
-        engine.prof_timed = self.profiling;
         engine.classic = self.classic;
         engine.live = self.live.clone();
         if let Some((start, end)) = self.timeline_window {
@@ -198,7 +183,6 @@ impl ServerSimulator {
             let registry = MetricsRegistry::new();
             engine.obs.sink = Some(EventSink::new(capacity));
             engine.obs.metrics = Some(ObsMetrics::new(&registry));
-            engine.dispatch_span = Some(SpanTimer::new(&registry, "engine_dispatch"));
             for c in &mut engine.chips {
                 c.chip.enable_transition_log();
             }
@@ -355,20 +339,14 @@ struct Engine<'a> {
     /// One-entry `(bytes, service_time(bytes))` memo for the hot DMA
     /// serve path (request sizes are uniform within a run).
     service_memo: (u64, SimDuration),
-    dbg_pending_delay_ps: f64,
-    dbg_first_post_release_ps: f64,
-    dbg_nonfirst_delay_ps: f64,
     // Exact service-time totals, kept alongside `request_service` so the
     // slack-ledger close carries integer data the replay can reproduce
     // `guarantee_met` from without float-accumulation drift.
     served: u64,
     service_sum_ps: u64,
     obs: Obs,
-    dispatch_span: Option<SpanTimer>,
-    // Engine self-profile: per-phase call counts are always maintained
-    // (deterministic); wall-clock ns only when `prof_timed` is set.
+    // Engine self-profile: deterministic per-phase call counts.
     phases: PhaseProfile,
-    prof_timed: bool,
     /// Dispatch every periodic tick (no fast-forward); see
     /// [`ServerSimulator::with_classic_event_core`].
     classic: bool,
@@ -453,15 +431,10 @@ impl<'a> Engine<'a> {
                 config.cache_line_bytes,
                 config.power_model.service_time(config.cache_line_bytes),
             ),
-            dbg_pending_delay_ps: 0.0,
-            dbg_first_post_release_ps: 0.0,
-            dbg_nonfirst_delay_ps: 0.0,
             served: 0,
             service_sum_ps: 0,
             obs: Obs::new(config.chips),
-            dispatch_span: None,
             phases: PhaseProfile::default(),
-            prof_timed: false,
             classic: false,
             obs_quiet: true,
             live: None,
@@ -529,14 +502,6 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let dispatch_span = self.dispatch_span.clone();
-        // Phase timing is batched over *runs* of same-phase events: the
-        // stopwatch starts at a phase boundary and stops at the next one,
-        // so the common case (long dispatch bursts) pays no wall-clock
-        // reads at all. Call counts stay exact and deterministic; the ns
-        // attribution is host-dependent anyway and now includes the queue
-        // pop between events of one run.
-        let mut timed_run: Option<(Phase, Stopwatch)> = None;
         let mut watermark_tick: u64 = 0;
         while let Some((t, ev)) = self.queue.pop() {
             debug_assert!(t >= self.now, "event time went backwards");
@@ -550,19 +515,12 @@ impl<'a> Engine<'a> {
             if self.finished(events.len()) {
                 break;
             }
-            let _span = dispatch_span.as_ref().map(|s| s.start());
             let phase = match ev {
                 Ev::PolicyTimer { .. } | Ev::EpochTick | Ev::PlInterval => Phase::Policy,
                 Ev::TransitionDone { .. } => Phase::Transition,
                 _ => Phase::Dispatch,
             };
             self.phases.note(phase);
-            if self.prof_timed && timed_run.as_ref().is_none_or(|(p, _)| *p != phase) {
-                if let Some((p, sw)) = timed_run.take() {
-                    self.phases.add_ns(p, sw.elapsed_ns());
-                }
-                timed_run = Some((phase, Stopwatch::start()));
-            }
             match ev {
                 Ev::Trace => self.on_trace(events),
                 Ev::BusTick { bus, gen } => self.on_bus_tick(bus, gen),
@@ -574,35 +532,9 @@ impl<'a> Engine<'a> {
                 Ev::PlInterval => self.on_pl_interval(events.len()),
             }
         }
-        if let Some((p, sw)) = timed_run.take() {
-            self.phases.add_ns(p, sw.elapsed_ns());
-        }
-        // Stat collection is its own profiled phase: ledger close, energy
-        // merge, snapshotting, and result assembly below.
+        // Stat collection is one call of its own phase: ledger close,
+        // energy merge, snapshotting, and result assembly below.
         self.phases.note(Phase::Stats);
-        let stats_sw = self.prof_timed.then(Stopwatch::start);
-
-        if std::env::var_os("DMAMEM_DEBUG_SLACK").is_some() {
-            if let Some(slack) = &self.slack {
-                let (e, w, p, q) = slack.debits_ps();
-                eprintln!(
-                    "delay debug: pending {:.3} ms, first-total {:.3} ms, nonfirst {:.3} ms",
-                    self.dbg_pending_delay_ps / 1e9,
-                    self.dbg_first_post_release_ps / 1e9,
-                    self.dbg_nonfirst_delay_ps / 1e9
-                );
-                eprintln!(
-                    "slack debug: final {:.3} ms, min {:.3} ms, credits {} reqs, debits epoch {:.3} ms wake {:.3} ms proc {:.3} ms queue {:.3} ms",
-                    slack.slack_ps() / 1e9,
-                    slack.min_slack_ps() / 1e9,
-                    slack.credited_requests(),
-                    e / 1e9,
-                    w / 1e9,
-                    p / 1e9,
-                    q / 1e9
-                );
-            }
-        }
         let horizon = self.now.max(SimTime::ZERO + trace.duration());
         if let Some(live) = &self.live {
             live.watermark_ps(horizon.as_ps());
@@ -659,9 +591,6 @@ impl<'a> Engine<'a> {
             per_chip_residency.push(*c.chip.residency());
             wakes += c.chip.wakes();
         }
-        if let Some(sw) = stats_sw {
-            self.phases.add_ns(Phase::Stats, sw.elapsed_ns());
-        }
         let queue_stats = self.queue.stats();
         let profile = EngineProfile {
             // Dispatched events: every loop-phase call (the Stats phase is
@@ -672,12 +601,8 @@ impl<'a> Engine<'a> {
             max_heap_depth: queue_stats.max_depth,
             transfers: self.next_tid - 1,
             requests: self.dma_requests,
-            timed: self.prof_timed,
             phases: self.phases,
         };
-        // Deterministic prof counters go into the metrics snapshot
-        // unconditionally (never the wall-clock ns), so obs output is
-        // byte-identical whether phase timing is armed or not.
         self.obs.publish_prof(&profile);
         let trace = self.obs.tracer.take().map(|t| t.into_buffer(horizon));
         // Trace-ring loss accounting: spilled records reached the spill
@@ -947,9 +872,7 @@ impl<'a> Engine<'a> {
                 }
             }
             self.obs.ta_release(self.now, chip, n, cause);
-            for i in 0..self.chips[chip].pending.len() {
-                let p = self.chips[chip].pending[i];
-                self.dbg_pending_delay_ps += self.now.saturating_since(p.arrival).as_ps() as f64;
+            for p in &self.chips[chip].pending {
                 self.obs.trace_released(p.req.transfer, self.now);
             }
             let c = &mut self.chips[chip];
@@ -1097,11 +1020,8 @@ impl<'a> Engine<'a> {
                 arrival,
                 service,
             } => {
-                let delay = (self.now - arrival).saturating_sub(service).as_ps() as f64;
-                if req.is_first {
-                    self.dbg_first_post_release_ps += delay;
-                } else {
-                    self.dbg_nonfirst_delay_ps += delay;
+                if !req.is_first {
+                    let delay = (self.now - arrival).saturating_sub(service).as_ps() as f64;
                     // Chip-level queueing (over-aligned streams) eats into
                     // the performance budget like any other added delay.
                     if let Some(slack) = &mut self.slack {

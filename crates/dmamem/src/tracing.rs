@@ -529,7 +529,7 @@ impl RunAttribution {
 }
 
 /// Renders a set of runs as the attribution-report JSON consumed by
-/// `bench`'s `trace_diff` regression differ:
+/// `bench`'s `baseline_diff` gate:
 /// `{"runs":[{"workload","scheme","total_mj","buckets","per_chip"},...]}`.
 pub fn attribution_json(runs: &[RunAttribution]) -> String {
     let body: Vec<String> = runs.iter().map(|r| r.to_json()).collect();

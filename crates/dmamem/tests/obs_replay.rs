@@ -109,7 +109,30 @@ fn metrics_snapshot_mirrors_result_counters() {
     let json = m.to_json();
     assert!(json.starts_with("{\"counters\":{"), "snapshot json: {json}");
     assert!(json.contains("\"dmamem.slack.balance_ps\""));
-    assert!(json.contains("\"span.engine_dispatch_ns\""));
+}
+
+/// The determinism contract of the observability artifacts: two
+/// same-seed runs export byte-identical `--metrics-out` and
+/// `--events-out` files, so no host-time reading may reach either.
+#[test]
+fn metrics_and_events_exports_are_byte_identical_across_replays() {
+    let export = || {
+        let (r, _) = observed(Workload::OltpSt, 2, 42, 1.0, Some(2));
+        let obs = r.obs.expect("observability requested");
+        (obs.metrics, obs.events.to_jsonl())
+    };
+    let (metrics_a, events_a) = export();
+    let (metrics_b, events_b) = export();
+    assert_eq!(metrics_a.to_json(), metrics_b.to_json());
+    assert_eq!(events_a, events_b);
+    let keys = metrics_a
+        .counters
+        .keys()
+        .chain(metrics_a.gauges.keys())
+        .chain(metrics_a.histograms.keys());
+    for key in keys {
+        assert!(!key.starts_with("span."), "wall-clock metric {key}");
+    }
 }
 
 #[test]

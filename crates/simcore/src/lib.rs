@@ -18,10 +18,10 @@
 //!   used for energy and response-time accounting.
 //! * [`obs`] — the observability layer: a named-metric registry (counters,
 //!   gauges, log-scale histograms), a ring-buffered typed-event sink with
-//!   JSONL export, and scoped wall-clock span timers.
+//!   JSONL export, a causal span trace, and the live telemetry server.
 //! * [`prof`] — engine self-profiling: deterministic hot-path counters
-//!   ([`EngineProfile`]) plus opt-in wall-clock phase timers, so the
-//!   simulator itself is as observable as the systems it models.
+//!   ([`EngineProfile`]), so the simulator itself is as observable as the
+//!   systems it models.
 //! * [`par`] — a std-only scoped-thread work-stealing pool with
 //!   input-order results and per-job panic isolation, used by the
 //!   experiment sweep engine.

@@ -1,25 +1,22 @@
 //! Observability layer: metrics registry, structured event tracing, and
-//! span timers.
+//! the live telemetry server.
 //!
 //! Everything here is std-only and single-threaded by design (the
 //! simulator event loop is single-threaded, and cheap `Rc`-based handles
 //! keep instrumentation off the hot path's allocator).
 //!
-//! The layer has three pillars:
+//! The layer has four pillars:
 //!
 //! * [`metrics`] — a [`MetricsRegistry`](metrics::MetricsRegistry) that
 //!   components register **counters**, **gauges**, and log₂-bucketed
 //!   streaming **histograms** into by dotted name
 //!   (`"<subsystem>.<quantity>[_<unit>]"`, e.g. `dmamem.wakes` or
-//!   `sim.dispatch_ns`). Snapshots are mergeable across runs and export
-//!   as JSON.
+//!   `dmamem.request_service_ns`). Snapshots are mergeable across runs
+//!   and export as JSON.
 //! * [`events`] — a ring-buffered [`EventSink`](events::EventSink) of
 //!   typed simulation events with sim-timestamps, exportable as JSONL
 //!   (one JSON object per line: `seq`, `t_ps`, `kind`, then
 //!   event-specific fields).
-//! * [`span`] — scoped wall-clock [`SpanTimer`](span::SpanTimer)s for
-//!   profiling simulator hot paths; samples land in a registry histogram
-//!   named `span.<name>_ns`.
 //! * [`trace`] — a causal [`TraceBuffer`](trace::TraceBuffer) of
 //!   begin/end/instant/counter records over simulated time, exportable as
 //!   Chrome/Perfetto `trace_event` JSON.
@@ -48,12 +45,10 @@ pub mod events;
 pub mod json;
 pub mod metrics;
 pub mod serve;
-pub mod span;
 pub mod trace;
 
 pub use events::{EventSink, ObsEvent};
 pub use json::JsonObject;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use serve::{render_prometheus, LiveState, ServerHandle};
-pub use span::SpanTimer;
 pub use trace::{SpanId, SpillSink, TraceBuffer, TraceStats, TrackId, TrackKind};

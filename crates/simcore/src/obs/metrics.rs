@@ -4,7 +4,7 @@
 //! [`MetricsRegistry`] by dotted name; the registry produces mergeable
 //! [`MetricsSnapshot`]s and JSON exports. Naming convention:
 //! `"<subsystem>.<quantity>[_<unit>]"` — e.g. `dmamem.wakes`,
-//! `dmamem.slack.debit_epoch_ps`, `span.event_loop_ns`.
+//! `dmamem.slack.debit_epoch_ps`, `dmamem.request_service_ns`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

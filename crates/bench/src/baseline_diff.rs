@@ -407,7 +407,7 @@ mod tests {
              \"totals\": {{\"events\": {events}, \"heap_pushes\": 1005, \"heap_pops\": 1000, \
              \"max_heap_depth\": 17, \"transfers\": 9, \"requests\": 640, \"sims\": 2}},\n\
              \"phases\": [\n  {{\"phase\": \"dispatch\", \"calls\": 1000}}\n]}}",
-            q = simcore::QUEUE_KIND
+            q = dmamem::ENGINE_QUEUE_KIND
         )
     }
 
@@ -491,18 +491,27 @@ mod tests {
 
     #[test]
     fn queue_kind_mismatch_is_a_clear_rerecord_error() {
-        // A report without the field reads as the legacy heap kind.
-        let wheel = engine("1000", 42);
-        let legacy = wheel.replace(
-            &format!(" \"queue_kind\": \"{}\",", simcore::QUEUE_KIND),
-            "",
-        );
-        assert_ne!(legacy, wheel);
-        let err = gate(&legacy, &wheel).unwrap_err();
-        assert!(err.contains("queue_kind mismatch"), "{err}");
-        assert!(err.contains("different queue semantics"), "{err}");
-        assert!(err.contains("re-record"), "{err}");
-        assert!(err.contains(simcore::HEAP_QUEUE_KIND) && err.contains(simcore::QUEUE_KIND));
+        let current = engine("1000", 42);
+        let kind = format!(" \"queue_kind\": \"{}\",", dmamem::ENGINE_QUEUE_KIND);
+        // A report without the field reads as the legacy heap kind; a
+        // wheel-only report predates the request-train lane.
+        for (old, old_kind) in [
+            (current.replace(&kind, ""), simcore::HEAP_QUEUE_KIND),
+            (
+                current.replace(
+                    &kind,
+                    &format!(" \"queue_kind\": \"{}\",", simcore::QUEUE_KIND),
+                ),
+                simcore::QUEUE_KIND,
+            ),
+        ] {
+            assert_ne!(old, current);
+            let err = gate(&old, &current).unwrap_err();
+            assert!(err.contains("queue_kind mismatch"), "{err}");
+            assert!(err.contains("different queue semantics"), "{err}");
+            assert!(err.contains("re-record"), "{err}");
+            assert!(err.contains(old_kind) && err.contains(dmamem::ENGINE_QUEUE_KIND));
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::sweep::{FigTime, SweepRunner};
 /// The whole-matrix engine profile, rendered as `BENCH_engine.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
-    /// Pop-order schema of the event queue the engine ran on
-    /// ([`simcore::QUEUE_KIND`]). Queue-shape counters (heap pushes/pops,
+    /// Queue-shape schema of the engine's event loop
+    /// ([`dmamem::ENGINE_QUEUE_KIND`]). Queue-shape counters (heap pushes/pops,
     /// max depth) are only comparable between reports with equal kinds;
     /// the baseline gate refuses to diff across kinds.
     pub queue_kind: String,
@@ -37,7 +37,7 @@ impl EngineReport {
     /// Builds the report from a runner that has executed its figures.
     pub fn from_runner(runner: &SweepRunner, trace_ms: f64, seed: u64) -> EngineReport {
         EngineReport {
-            queue_kind: simcore::QUEUE_KIND.to_string(),
+            queue_kind: dmamem::ENGINE_QUEUE_KIND.to_string(),
             trace_ms,
             seed,
             rows: runner.timings().to_vec(),
@@ -118,7 +118,7 @@ mod tests {
             phase_calls: [1000, 0, 0, 2],
         };
         let report = EngineReport {
-            queue_kind: simcore::QUEUE_KIND.to_string(),
+            queue_kind: dmamem::ENGINE_QUEUE_KIND.to_string(),
             trace_ms: 2.0,
             seed: 42,
             rows: vec![FigTime {
@@ -134,7 +134,10 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"engine\""));
-        assert!(json.contains(&format!("\"queue_kind\": \"{}\"", simcore::QUEUE_KIND)));
+        assert!(json.contains(&format!(
+            "\"queue_kind\": \"{}\"",
+            dmamem::ENGINE_QUEUE_KIND
+        )));
         assert!(json.contains("\"figure\": \"fig5\", \"events\": 1000"));
         assert!(json.contains("\"phase\": \"dispatch\", \"calls\": 1000"));
         // The figure's wall clock stays out of the deterministic artifact.

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dma_trace::{Trace, TraceEvent};
-use iobus::{Bus, BusId, DmaRequest, DmaTransfer, IssueOutcome, PageId, TransferId};
+use iobus::{Bus, BusDiscipline, BusId, DmaRequest, DmaTransfer, IssueOutcome, PageId, TransferId};
 use mempower::policy::PowerPolicy;
 use mempower::{Chip, ChipPhase, EnergyBreakdown, EnergyCategory, PowerMode};
 use simcore::obs::{EventSink, LiveState, MetricsRegistry, SpillSink};
@@ -35,6 +35,14 @@ use crate::metrics::SimResult;
 use crate::obs::{DebitCause, Obs, ObsMetrics, ReleaseCause, RunObs, SlackSummary};
 use crate::timeline::{ChipActivity, TimelineRecorder};
 use crate::tracing::Tracer;
+
+/// Queue-shape schema of [`ServerSimulator`]'s event loop, recorded in
+/// engine baselines: the calendar wheel ([`simcore::QUEUE_KIND`]) with
+/// steady request trains served from a side lane, so their bus ticks,
+/// service completions and superseded policy timers never touch the
+/// queue. Queue-shape counters (pushes, pops, max depth) are only
+/// comparable between reports recorded under the same kind.
+pub const ENGINE_QUEUE_KIND: &str = "calendar-wheel-v1+trains-v1";
 
 /// Simulates a data server running one [`Scheme`] over a trace.
 ///
@@ -75,14 +83,16 @@ impl ServerSimulator {
         }
     }
 
-    /// Disables the virtual-time fast-forward, dispatching every
-    /// periodic tick individually as the pre-calendar engine did.
+    /// Disables the virtual-time fast-forward and the request-train
+    /// window, dispatching every periodic tick individually and every
+    /// event through the queue, as the pre-calendar engine did.
     ///
     /// Simulated results are identical either way (the fast-forward only
-    /// skips provably no-op ticks; `tests/fast_forward.rs` pins the
-    /// conservation identity) — this knob exists as the test oracle for
-    /// that claim and as an escape hatch while debugging event-order
-    /// issues.
+    /// skips provably no-op ticks, and train windows run the same
+    /// handlers in the same `(time, seq)` order; `tests/fast_forward.rs`
+    /// pins the conservation identity) — this knob exists as the test
+    /// oracle for that claim and as an escape hatch while debugging
+    /// event-order issues.
     pub fn with_classic_event_core(mut self) -> Self {
         self.classic = true;
         self
@@ -229,6 +239,109 @@ enum Ev {
     PlInterval,
 }
 
+impl Ev {
+    /// The profile phase a dispatch of this event is booked under.
+    fn phase(self) -> Phase {
+        match self {
+            Ev::PolicyTimer { .. } | Ev::EpochTick | Ev::PlInterval => Phase::Policy,
+            Ev::TransitionDone { .. } => Phase::Transition,
+            _ => Phase::Dispatch,
+        }
+    }
+}
+
+/// An event of an open request-train window, keyed exactly as the queue
+/// would have keyed it (see [`Engine::serve_train`]).
+#[derive(Debug, Clone, Copy)]
+struct LaneEntry {
+    time: SimTime,
+    seq: u64,
+    ev: Ev,
+}
+
+impl LaneEntry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+/// The pending events of an open train window, in `(time, seq)` order.
+///
+/// Each event kind keeps its own sorted run. A kind's events are nearly
+/// always created in time order (bus ticks a slot ahead, completions a
+/// service time ahead, policy timers a threshold ahead), so a push is an
+/// append and the minimum is the smallest of a few run heads; an
+/// out-of-order event takes a sorted insert into its run.
+#[derive(Debug)]
+struct Lane {
+    runs: [VecDeque<LaneEntry>; 4],
+}
+
+/// Entries reserved per lane run at engine construction. The deepest run
+/// measured on the paper workloads holds about 100 policy timers, so the
+/// hot loop never grows a run; reserving once per engine also keeps the
+/// lane out of the run's allocation sequence, which measurably steadies
+/// peak RSS (`database-sweep`).
+const LANE_RUN_CAPACITY: usize = 512;
+
+impl Lane {
+    fn new() -> Self {
+        Lane {
+            runs: std::array::from_fn(|_| VecDeque::with_capacity(LANE_RUN_CAPACITY)),
+        }
+    }
+
+    fn run_of(ev: Ev) -> usize {
+        match ev {
+            Ev::BusTick { .. } => 0,
+            Ev::ServiceDone { .. } => 1,
+            Ev::PolicyTimer { .. } => 2,
+            _ => 3,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.runs.iter().all(VecDeque::is_empty)
+    }
+
+    /// Adds an entry whose seq is larger than every pending one.
+    fn push(&mut self, e: LaneEntry) {
+        let run = &mut self.runs[Self::run_of(e.ev)];
+        if run.back().is_none_or(|b| b.time <= e.time) {
+            run.push_back(e);
+        } else {
+            let at = run.partition_point(|x| x.time <= e.time);
+            run.insert(at, e);
+        }
+    }
+
+    /// The smallest pending entry, with the index of the run holding it.
+    fn peek(&self) -> Option<(usize, LaneEntry)> {
+        let mut best: Option<(usize, LaneEntry)> = None;
+        for (i, run) in self.runs.iter().enumerate() {
+            if let Some(e) = run.front() {
+                if best.is_none_or(|(_, b)| e.key() < b.key()) {
+                    best = Some((i, *e));
+                }
+            }
+        }
+        best
+    }
+
+    /// Removes the head of `run` (as returned by [`Lane::peek`]).
+    fn pop(&mut self, run: usize) {
+        self.runs[run].pop_front();
+    }
+
+    /// Empties the lane, in no particular order.
+    fn drain(&mut self) -> impl Iterator<Item = LaneEntry> + '_ {
+        self.runs.iter_mut().flat_map(|run| run.drain(..))
+    }
+}
+
+/// Sim-time stride between live-telemetry watermark stores.
+const WATERMARK_STRIDE_PS: u64 = 10_000_000;
+
 #[derive(Debug, Clone, Copy)]
 enum Serving {
     Dma {
@@ -347,7 +460,8 @@ struct Engine<'a> {
     obs: Obs,
     // Engine self-profile: deterministic per-phase call counts.
     phases: PhaseProfile,
-    /// Dispatch every periodic tick (no fast-forward); see
+    /// Dispatch every periodic tick and every event through the queue
+    /// (no fast-forward, no train windows); see
     /// [`ServerSimulator::with_classic_event_core`].
     classic: bool,
     /// No observability consumer is attached, so skipping a no-op tick
@@ -355,9 +469,20 @@ struct Engine<'a> {
     /// run start (consumers never attach mid-run).
     obs_quiet: bool,
     /// Live telemetry: the engine stores a coarse sim-clock watermark
-    /// into it every 1024 dispatched events (a pure atomic store — see
+    /// into it whenever the clock has advanced [`WATERMARK_STRIDE_PS`]
+    /// past the last store (a pure atomic store — see
     /// [`LiveState::watermark_ps`]). Never read back by the simulation.
     live: Option<Arc<LiveState>>,
+    /// Serve steady request trains inline ([`Engine::serve_train`]):
+    /// no observability consumer, not the classic core, and no CPU
+    /// reservation. Cached at run start.
+    trains: bool,
+    /// True while a train window is open: [`Engine::schedule`] then puts
+    /// events in `lane` instead of the queue.
+    lane_open: bool,
+    /// The open window's pending events, under sequence numbers reserved
+    /// from the queue. Empty whenever no window is open.
+    lane: Lane,
 }
 
 impl<'a> Engine<'a> {
@@ -438,6 +563,22 @@ impl<'a> Engine<'a> {
             classic: false,
             obs_quiet: true,
             live: None,
+            trains: false,
+            lane_open: false,
+            lane: Lane::new(),
+        }
+    }
+
+    /// Schedules `ev` at `time`: into the queue, or into the lane of the
+    /// open train window under a sequence number reserved from the queue,
+    /// so either way it carries the key a direct schedule would give it.
+    #[inline]
+    fn schedule(&mut self, time: SimTime, ev: Ev) {
+        if self.lane_open {
+            let seq = self.queue.alloc_seq();
+            self.lane.push(LaneEntry { time, seq, ev });
+        } else {
+            self.queue.schedule(time, ev);
         }
     }
 
@@ -502,27 +643,31 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let mut watermark_tick: u64 = 0;
+        self.trains = !self.classic
+            && self.obs_quiet
+            && self.scheme.ta.and_then(|ta| ta.cpu_reservation).is_none();
+        let mut watermark_due: u64 = 0;
         while let Some((t, ev)) = self.queue.pop() {
             debug_assert!(t >= self.now, "event time went backwards");
             self.now = t;
             if let Some(live) = &self.live {
-                watermark_tick += 1;
-                if watermark_tick & 1023 == 0 {
+                if self.now.as_ps() >= watermark_due {
                     live.watermark_ps(self.now.as_ps());
+                    watermark_due = self.now.as_ps() + WATERMARK_STRIDE_PS;
                 }
             }
             if self.finished(events.len()) {
                 break;
             }
-            let phase = match ev {
-                Ev::PolicyTimer { .. } | Ev::EpochTick | Ev::PlInterval => Phase::Policy,
-                Ev::TransitionDone { .. } => Phase::Transition,
-                _ => Phase::Dispatch,
-            };
-            self.phases.note(phase);
+            self.phases.note(ev.phase());
             match ev {
                 Ev::Trace => self.on_trace(events),
+                // A live tick of a train bus opens a train window.
+                Ev::BusTick { bus, gen }
+                    if self.trains && gen == self.bus_gen[bus] && self.train_bus(bus) =>
+                {
+                    self.serve_train(bus, gen, events.len());
+                }
                 Ev::BusTick { bus, gen } => self.on_bus_tick(bus, gen),
                 Ev::ServiceDone { chip } => self.on_service_done(chip),
                 Ev::TransitionDone { chip } => self.on_transition_done(chip),
@@ -675,7 +820,7 @@ impl<'a> Engine<'a> {
             }
         }
         if self.cursor < events.len() {
-            self.queue.schedule(events[self.cursor].time(), Ev::Trace);
+            self.schedule(events[self.cursor].time(), Ev::Trace);
         }
     }
 
@@ -740,7 +885,7 @@ impl<'a> Engine<'a> {
     fn schedule_bus_tick(&mut self, bus: BusId) {
         if let Some(t) = self.buses[bus].next_issue_time(self.now) {
             self.bus_gen[bus] += 1;
-            self.queue.schedule(
+            self.schedule(
                 t,
                 Ev::BusTick {
                     bus,
@@ -758,6 +903,120 @@ impl<'a> Engine<'a> {
             self.on_dma_request(req);
         }
         self.schedule_bus_tick(bus);
+    }
+
+    // ------------------------------------------------------------------
+    // Request trains
+
+    /// True when `bus` carries only steady trains: it paces per engine,
+    /// it has a Ready stream, every Ready stream's next request is a
+    /// middle one (first and last requests ack, remove tracks and end
+    /// transfers, so they take the queued path), and each of those
+    /// streams feeds a chip that is settled `Active` with no processor,
+    /// migration, gathered or wake work that could interleave.
+    fn train_bus(&self, bus: BusId) -> bool {
+        let b = &self.buses[bus];
+        if b.config().discipline != BusDiscipline::PerEngine {
+            return false;
+        }
+        let mut any = false;
+        for s in b.ready_streams() {
+            if !s.next_is_middle() {
+                return false;
+            }
+            let Some(track) = self.tracks.get(s.slot) else {
+                return false;
+            };
+            let chip = track.chip;
+            let c = &self.chips[chip];
+            let steady = c.chip.is_active()
+                && c.proc_ready.is_empty()
+                && c.mig_ready.is_empty()
+                && c.pending.is_empty()
+                && !self.wake_requested[chip];
+            if !steady {
+                return false;
+            }
+            any = true;
+        }
+        any
+    }
+
+    /// True when `ev`, the next event in global `(time, seq)` order, may
+    /// run inside a train window: a stale policy timer or bus tick (both
+    /// no-ops), a live tick of a train bus, or a service completion.
+    fn train_step(&self, ev: Ev) -> bool {
+        match ev {
+            Ev::PolicyTimer { chip, gen } => gen != self.timer_gen[chip],
+            Ev::BusTick { bus, gen } => gen != self.bus_gen[bus] || self.train_bus(bus),
+            Ev::ServiceDone { .. } => true,
+            _ => false,
+        }
+    }
+
+    /// Serves steady request trains inline, starting with the popped live
+    /// `BusTick` of `bus`.
+    ///
+    /// While the window is open, every event the handlers schedule goes
+    /// to a small local lane under a sequence number reserved from the
+    /// queue, so it carries the exact `(time, seq)` key a queued schedule
+    /// would have given it. Each step takes the smaller of the lane
+    /// minimum and the queue head. It runs the step inline if
+    /// [`train_step`](Engine::train_step) allows it: the same handler the
+    /// main loop would call, at the same clock, with the same phase note.
+    /// The first step it does not allow closes the window, and the lane
+    /// goes back to the queue under its reserved keys. Every handler thus
+    /// runs in the same global order as on the queued path, so results
+    /// are bit-identical; only the queue's push, pop and depth counts
+    /// change.
+    fn serve_train(&mut self, bus: BusId, gen: u64, trace_len: usize) {
+        debug_assert!(self.lane.is_empty() && !self.lane_open);
+        self.lane_open = true;
+        self.on_bus_tick(bus, gen);
+        let mut last: Option<(SimTime, u64)> = None;
+        // Handlers schedule only into the lane while it is open, so the
+        // queue head changes only when this loop pops it.
+        let mut head = self.queue_head();
+        loop {
+            let (key, ev, lane_run) = match (head, self.lane.peek()) {
+                (Some((qk, ev)), Some((_, l))) if qk < l.key() => (qk, ev, None),
+                (Some((qk, ev)), None) => (qk, ev, None),
+                (_, Some((run, l))) => (l.key(), l.ev, Some(run)),
+                (None, None) => break,
+            };
+            if !self.train_step(ev) {
+                break;
+            }
+            debug_assert!(
+                last.is_none_or(|l| key > l),
+                "train window left (time, seq) order"
+            );
+            last = Some(key);
+            if let Some(run) = lane_run {
+                self.lane.pop(run);
+            } else {
+                self.queue.pop();
+                head = self.queue_head();
+            }
+            self.now = key.0;
+            debug_assert!(!self.finished(trace_len), "train window outlived the run");
+            self.phases.note(ev.phase());
+            match ev {
+                Ev::BusTick { bus, gen } => self.on_bus_tick(bus, gen),
+                Ev::ServiceDone { chip } => self.on_service_done(chip),
+                // Superseded policy timer: a no-op, booked like one.
+                _ => {}
+            }
+            debug_assert!(head == self.queue_head(), "queue changed under the window");
+        }
+        self.lane_open = false;
+        for e in self.lane.drain() {
+            self.queue.schedule_at_seq(e.time, e.seq, e.ev);
+        }
+    }
+
+    fn queue_head(&self) -> Option<((SimTime, u64), Ev)> {
+        self.queue.peek_entry().map(|(t, seq, &ev)| ((t, seq), ev))
     }
 
     fn on_dma_request(&mut self, req: DmaRequest) {
@@ -917,7 +1176,7 @@ impl<'a> Engine<'a> {
             ChipPhase::Steady(_) if has_work => {
                 let done = self.chips[chip].chip.begin_wake(self.now);
                 self.timer_gen[chip] += 1; // cancel any armed sleep
-                self.queue.schedule(done, Ev::TransitionDone { chip });
+                self.schedule(done, Ev::TransitionDone { chip });
                 self.note_transitions(chip);
                 self.tl_note(chip);
             }
@@ -947,8 +1206,7 @@ impl<'a> Engine<'a> {
             // processor accesses. The chip stays active (the gap is billed
             // as DMA-idle time by the usual classification).
             self.dma_streak[chip] = 0;
-            self.queue
-                .schedule(self.now + self.proc_service, Ev::CpuGapDone { chip });
+            self.schedule(self.now + self.proc_service, Ev::CpuGapDone { chip });
             return;
         } else if let Some(r) = c.dma_ready.pop_front() {
             let service = self.service_time_memo(r.req.bytes);
@@ -977,7 +1235,7 @@ impl<'a> Engine<'a> {
         }
         self.serving_count += 1;
         let done = self.chips[chip].chip.busy_until();
-        self.queue.schedule(done, Ev::ServiceDone { chip });
+        self.schedule(done, Ev::ServiceDone { chip });
         self.tl_note(chip);
     }
 
@@ -1068,8 +1326,7 @@ impl<'a> Engine<'a> {
         if let Some((target, when)) = c.policy.next_step(mode, self.now) {
             self.planned_mode[chip] = Some(target);
             let gen = self.timer_gen[chip];
-            self.queue
-                .schedule(when.max(self.now), Ev::PolicyTimer { chip, gen });
+            self.schedule(when.max(self.now), Ev::PolicyTimer { chip, gen });
         }
     }
 
@@ -1090,7 +1347,7 @@ impl<'a> Engine<'a> {
             return;
         };
         let done = self.chips[chip].chip.begin_sleep(self.now, target);
-        self.queue.schedule(done, Ev::TransitionDone { chip });
+        self.schedule(done, Ev::TransitionDone { chip });
         self.note_transitions(chip);
         self.tl_note(chip);
     }
@@ -1110,7 +1367,7 @@ impl<'a> Engine<'a> {
             if self.wake_requested[chip] || !c.queues_empty() {
                 self.wake_requested[chip] = false;
                 let done = c.chip.begin_wake(self.now);
-                self.queue.schedule(done, Ev::TransitionDone { chip });
+                self.schedule(done, Ev::TransitionDone { chip });
                 self.note_transitions(chip);
             } else {
                 // Arm the next deeper step (thresholds measured from the
@@ -1122,8 +1379,7 @@ impl<'a> Engine<'a> {
                     self.planned_mode[chip] = Some(target);
                     self.timer_gen[chip] += 1;
                     let gen = self.timer_gen[chip];
-                    self.queue
-                        .schedule(when.max(self.now), Ev::PolicyTimer { chip, gen });
+                    self.schedule(when.max(self.now), Ev::PolicyTimer { chip, gen });
                 }
             }
         }
@@ -1176,7 +1432,7 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            self.queue.schedule(next, Ev::EpochTick);
+            self.schedule(next, Ev::EpochTick);
         }
     }
 
@@ -1218,7 +1474,7 @@ impl<'a> Engine<'a> {
             tracker.age();
         }
         if !(self.cursor >= trace_len && self.active_transfers == 0) {
-            self.queue.schedule(self.now + pl.interval, Ev::PlInterval);
+            self.schedule(self.now + pl.interval, Ev::PlInterval);
         }
     }
 }
@@ -1469,6 +1725,18 @@ mod tests {
         assert!((uf - 1.0 / 3.0).abs() < 0.05, "windowed uf {uf}");
         let art = rec.render_active(48);
         assert!(art.contains('#') && art.contains('~'), "art:\n{art}");
+    }
+
+    #[test]
+    fn live_watermark_ends_at_the_horizon_without_changing_results() {
+        let trace = dma_trace::SyntheticStorageGen::default().generate(SimDuration::from_ms(1), 3);
+        let live = Arc::new(LiveState::new());
+        let sim = ServerSimulator::new(small_config(), Scheme::dma_ta(0.5));
+        let watched = sim.clone().with_live(live.clone()).run(&trace);
+        assert_eq!(live.sim_time_ps(), watched.horizon.as_ps());
+        let plain = sim.run(&trace);
+        assert_eq!(watched.energy, plain.energy);
+        assert_eq!(watched.profile, plain.profile);
     }
 
     #[test]

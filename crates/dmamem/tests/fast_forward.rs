@@ -1,22 +1,30 @@
-//! Idle-gap fast-forward conservation: the engine's virtual-time jump
-//! across empty epochs is *observationally* a no-op.
+//! Fast-path conservation: the engine's two queue-bypassing fast paths
+//! are *observationally* no-ops.
 //!
-//! [`ServerSimulator::with_classic_event_core`] disables the jump, so
-//! every pair below runs the same trace both ways and demands identical
+//! * The idle-gap fast-forward jumps empty DMA-TA epochs.
+//! * The request-train window serves steady DMA request trains from a
+//!   local lane instead of round-tripping every bus tick, service
+//!   completion and superseded policy timer through the event queue.
+//!
+//! [`ServerSimulator::with_classic_event_core`] disables both, so every
+//! pair below runs the same trace both ways and demands identical
 //! results: the five-bucket energy attribution (to the 1e-9 checksum
-//! the attribution suite enforces), per-chip residency, horizon,
-//! service/response statistics, and the deterministic `events` count
-//! (the fast path books skipped epoch ticks via `note_n`, so even the
-//! profile's phase calls match the classic engine exactly). The only
-//! legitimate divergence is queue shape — the fast path *schedules*
-//! fewer epoch ticks — and the test asserts that divergence is present,
-//! so it cannot pass vacuously with the fast-forward never firing.
+//! the attribution suite enforces), per-chip energy and residency,
+//! horizon, service/response statistics, the slack summary, and the
+//! deterministic `events` count and per-phase calls (skipped epoch ticks
+//! are booked via `note_n`, inline train events are noted one by one).
+//! The only legitimate divergence is queue shape — both paths push fewer
+//! events — and every case asserts that divergence is present, so the
+//! suite cannot pass vacuously with a fast path never firing.
 
-use dma_trace::{SyntheticStorageGen, Trace, TraceGen};
-use dmamem::{Scheme, ServerSimulator, SystemConfig};
+use dma_trace::{DmaRecord, ProcRecord, SyntheticStorageGen, Trace, TraceEvent, TraceGen};
+use dmamem::experiments::{mu_from_baseline, paper_system, Workload};
+use dmamem::{Scheme, ServerSimulator, SimResult, SystemConfig};
+use iobus::{BusConfig, DmaDirection, DmaSource};
 use mempower::EnergyCategory;
+use proptest::prelude::*;
 use simcore::prof::Phase;
-use simcore::SimDuration;
+use simcore::{SimDuration, SimTime};
 
 /// A storage trace sparse enough that epochs go empty between transfer
 /// bursts (mean inter-arrival 50 us vs. the 1-us TA epoch), so the
@@ -29,16 +37,20 @@ fn sparse_trace(seed: u64) -> Trace {
     gen.generate(SimDuration::from_ms(2), seed)
 }
 
-fn run_pair(scheme: Scheme, trace: &Trace) -> (dmamem::SimResult, dmamem::SimResult) {
-    let fast = ServerSimulator::new(SystemConfig::default(), scheme).run(trace);
-    let classic = ServerSimulator::new(SystemConfig::default(), scheme)
+fn run_pair_on(config: &SystemConfig, scheme: Scheme, trace: &Trace) -> (SimResult, SimResult) {
+    let fast = ServerSimulator::new(config.clone(), scheme).run(trace);
+    let classic = ServerSimulator::new(config.clone(), scheme)
         .with_classic_event_core()
         .run(trace);
     (fast, classic)
 }
 
+fn run_pair(scheme: Scheme, trace: &Trace) -> (SimResult, SimResult) {
+    run_pair_on(&SystemConfig::default(), scheme, trace)
+}
+
 /// Field-by-field identity of everything observable about a run.
-fn assert_conserved(label: &str, fast: &dmamem::SimResult, classic: &dmamem::SimResult) {
+fn assert_conserved(label: &str, fast: &SimResult, classic: &SimResult) {
     assert_eq!(fast.scheme, classic.scheme, "{label}: scheme label");
     assert_eq!(fast.energy, classic.energy, "{label}: energy breakdown");
     assert_eq!(
@@ -114,6 +126,17 @@ fn assert_conserved(label: &str, fast: &dmamem::SimResult, classic: &dmamem::Sim
     }
 }
 
+/// The non-vacuity half: a fast path fired, so the queue saw fewer
+/// pushes than the classic core's.
+fn assert_fewer_pushes(label: &str, fast: &SimResult, classic: &SimResult) {
+    assert!(
+        fast.profile.heap_pushes < classic.profile.heap_pushes,
+        "{label}: no fast path fired ({} vs {} pushes)",
+        fast.profile.heap_pushes,
+        classic.profile.heap_pushes,
+    );
+}
+
 /// Energy, residency, latency, and dispatch accounting are identical
 /// with the fast-forward on vs. off, across seeds and TA schemes — and
 /// the fast path provably fired (it scheduled fewer epoch ticks).
@@ -125,22 +148,156 @@ fn fast_forward_conserves_all_observables() {
             let (fast, classic) = run_pair(scheme, &trace);
             let label = format!("seed {seed} {}", scheme.label());
             assert_conserved(&label, &fast, &classic);
-            assert!(
-                fast.profile.heap_pushes < classic.profile.heap_pushes,
-                "{label}: fast-forward never fired ({} vs {} pushes)",
-                fast.profile.heap_pushes,
-                classic.profile.heap_pushes,
-            );
+            assert_fewer_pushes(&label, &fast, &classic);
         }
     }
 }
 
-/// Without TA there are no epoch ticks to skip: the classic switch is
-/// a strict no-op and even the queue shape matches.
+/// Without TA there are no epoch ticks to skip, but baseline runs serve
+/// their request trains inline: every observable matches the classic
+/// core and the queue sees strictly fewer pushes.
 #[test]
 fn classic_switch_is_identity_for_baseline_scheme() {
     let trace = sparse_trace(42);
     let (fast, classic) = run_pair(Scheme::baseline(), &trace);
     assert_conserved("baseline", &fast, &classic);
-    assert_eq!(fast.profile, classic.profile);
+    assert_fewer_pushes("baseline", &fast, &classic);
+}
+
+/// The Figure 5 matrix on the paper's traces: baseline, DMA-TA and
+/// DMA-TA-PL(2) at the μ calibrated for a 10 % CP-Limit, on 2-ms
+/// storage and database traces.
+#[test]
+fn request_trains_conserve_paper_workloads() {
+    let config = paper_system();
+    for w in [Workload::OltpSt, Workload::SyntheticSt, Workload::OltpDb] {
+        let trace = w.generate(SimDuration::from_ms(2), 42);
+        let (base, base_classic) = run_pair_on(&config, Scheme::baseline(), &trace);
+        let label = format!("{} baseline", w.label());
+        assert_conserved(&label, &base, &base_classic);
+        assert_fewer_pushes(&label, &base, &base_classic);
+        let mu = mu_from_baseline(&config, &base, 0.10, w.client_extra_latency());
+        for scheme in [Scheme::dma_ta(mu), Scheme::dma_ta_pl(mu, 2)] {
+            let (fast, classic) = run_pair_on(&config, scheme, &trace);
+            let label = format!("{} {}", w.label(), scheme.label());
+            assert_conserved(&label, &fast, &classic);
+            assert_fewer_pushes(&label, &fast, &classic);
+        }
+    }
+}
+
+fn dma(ns: u64, bus: usize, page: u64, bytes: u64) -> TraceEvent {
+    TraceEvent::Dma(DmaRecord {
+        time: SimTime::ZERO + SimDuration::from_ns(ns),
+        bus,
+        page,
+        bytes,
+        direction: DmaDirection::FromMemory,
+        source: DmaSource::Network,
+    })
+}
+
+fn proc_access(ns: u64, page: u64) -> TraceEvent {
+    TraceEvent::Proc(ProcRecord {
+        time: SimTime::ZERO + SimDuration::from_ns(ns),
+        page,
+        bytes: 64,
+    })
+}
+
+/// Three buses stream into one chip at once — the DMA-TA lockstep
+/// shape, where requests queue at the chip — first simultaneously,
+/// then staggered by a few slots, then gathered on a sleeping chip.
+#[test]
+fn three_buses_streaming_into_one_chip_conserve() {
+    // Pages 0..3 all live on chip 0 under the sequential layout.
+    let mut events = vec![
+        dma(0, 0, 0, 8192),
+        dma(0, 1, 1, 8192),
+        dma(0, 2, 2, 8192),
+        dma(20_000, 0, 0, 8192),
+        dma(20_015, 1, 1, 8192),
+        dma(20_030, 2, 2, 8192),
+    ];
+    // Warm-up traffic on a far chip earns slack; the burst at 500 us
+    // meets chip 0 asleep, so DMA-TA gathers and releases it together.
+    events.extend((0..8u64).map(|i| dma(100_000 + i * 10_000, (i % 3) as usize, 40_000, 8192)));
+    events.extend([
+        dma(500_000, 0, 0, 8192),
+        dma(500_003, 1, 1, 8192),
+        dma(500_006, 2, 2, 8192),
+    ]);
+    let trace = Trace::from_events(events);
+    for scheme in [
+        Scheme::baseline(),
+        Scheme::dma_ta(2.0),
+        Scheme::dma_ta_pl(2.0, 2),
+    ] {
+        let (fast, classic) = run_pair(scheme, &trace);
+        let label = format!("three buses {}", scheme.label());
+        assert_eq!(fast.transfers, 17, "{label}: transfers");
+        assert_conserved(&label, &fast, &classic);
+        assert_fewer_pushes(&label, &fast, &classic);
+    }
+}
+
+/// A small random system and trace: 1–4 chips of 64 pages, 1–3 buses,
+/// transfers either aligned in bursts or staggered, and processor
+/// accesses to the same chips.
+fn random_case((chips, buses, aligned, seed): (usize, usize, bool, u64)) -> (SystemConfig, Trace) {
+    const PAGES_PER_CHIP: u64 = 64;
+    let config = SystemConfig {
+        chips,
+        pages: chips * PAGES_PER_CHIP as usize,
+        ..SystemConfig::default()
+    }
+    .with_buses(buses, BusConfig::pci_x());
+    let mut rng = simcore::rng::DetRng::new(seed);
+    let mut events = Vec::new();
+    let transfers = 1 + rng.next_u64() % 6;
+    for i in 0..transfers {
+        let at = if aligned {
+            (i / 3) * 12_000
+        } else {
+            rng.next_u64() % 30_000
+        };
+        let chip = rng.next_u64() % chips as u64;
+        let page = chip * PAGES_PER_CHIP + rng.next_u64() % PAGES_PER_CHIP;
+        let bytes = [8192, 8192, 512, 24][(rng.next_u64() % 4) as usize];
+        events.push(dma(
+            at,
+            (rng.next_u64() % buses as u64) as usize,
+            page,
+            bytes,
+        ));
+    }
+    for _ in 0..rng.next_u64() % 12 {
+        let page = rng.next_u64() % (chips as u64 * PAGES_PER_CHIP);
+        events.push(proc_access(rng.next_u64() % 30_000, page));
+    }
+    (config, Trace::from_events(events))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The classic core and the default engine agree on every observable
+    /// for random small systems and traces under every scheme.
+    #[test]
+    fn random_small_traces_conserve(
+        case in (1usize..5, 1usize..4, any::<bool>(), any::<u64>()),
+        which in 0u8..3,
+        mu in 0.0f64..3.0,
+    ) {
+        let (config, trace) = random_case(case);
+        let scheme = match which {
+            0 => Scheme::baseline(),
+            // PL needs a cold chip to spare.
+            2 if config.chips >= 2 => Scheme::dma_ta_pl(mu, 2),
+            _ => Scheme::dma_ta(mu),
+        };
+        let (fast, classic) = run_pair_on(&config, scheme, &trace);
+        assert_conserved(&format!("{case:?} {}", scheme.label()), &fast, &classic);
+        prop_assert!(fast.profile.heap_pushes <= classic.profile.heap_pushes);
+    }
 }

@@ -261,6 +261,25 @@ pub enum IssueOutcome {
     Idle,
 }
 
+/// A read-only view of a Ready stream (see [`Bus::ready_streams`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadyStream {
+    /// Engine-side arena slot of the stream's transfer.
+    pub slot: u32,
+    /// Sequence number the stream's next request will carry.
+    pub next_seq: u64,
+    /// Requests in the whole transfer.
+    pub total: u64,
+}
+
+impl ReadyStream {
+    /// True when the next request is neither the transfer's first nor its
+    /// last.
+    pub fn next_is_middle(&self) -> bool {
+        self.next_seq > 0 && self.next_seq + 1 < self.total
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StreamPhase {
     /// May issue its next request at the next slot.
@@ -366,6 +385,22 @@ impl Bus {
     /// aside).
     pub fn has_eligible_stream(&self) -> bool {
         self.streams.iter().any(|s| s.phase == StreamPhase::Ready)
+    }
+
+    /// Read-only views of the streams that are Ready to issue (streams
+    /// awaiting an ack are skipped), in stream order.
+    ///
+    /// A simulator uses this to see, without issuing, which transfers the
+    /// bus's next requests belong to and where in each transfer they fall.
+    pub fn ready_streams(&self) -> impl Iterator<Item = ReadyStream> + '_ {
+        self.streams
+            .iter()
+            .filter(|s| s.phase == StreamPhase::Ready)
+            .map(|s| ReadyStream {
+                slot: s.transfer.slot,
+                next_seq: s.issued,
+                total: s.total,
+            })
     }
 
     /// The earliest instant at or after `now` at which the bus could issue a
@@ -695,6 +730,40 @@ mod tests {
         bus.ack_first(1, ack_at);
         let resume = bus.next_issue_time(ack_at).unwrap();
         assert_eq!(resume, ack_at + BusConfig::pci_x().slot_period());
+    }
+
+    #[test]
+    fn ready_streams_skip_streams_awaiting_ack() {
+        let mut bus = Bus::new(0, BusConfig::pci_x());
+        assert_eq!(bus.ready_streams().count(), 0);
+        bus.add_transfer(SimTime::ZERO, xfer(1, 10, 24).with_slot(7)); // 3 reqs
+        let s: Vec<ReadyStream> = bus.ready_streams().collect();
+        assert_eq!(
+            s,
+            [ReadyStream {
+                slot: 7,
+                next_seq: 0,
+                total: 3
+            }]
+        );
+        assert!(!s[0].next_is_middle(), "first request");
+        let _ = bus.issue(SimTime::ZERO);
+        assert_eq!(bus.ready_streams().count(), 0, "awaiting ack is not Ready");
+        bus.add_transfer(SimTime::ZERO, xfer(2, 20, 24).with_slot(8));
+        let slots: Vec<u32> = bus.ready_streams().map(|s| s.slot).collect();
+        assert_eq!(slots, [8]);
+        bus.ack_first(1, SimTime::ZERO);
+        let s: Vec<ReadyStream> = bus.ready_streams().collect();
+        assert_eq!(s.len(), 2);
+        assert!(s[0].next_is_middle(), "second of three");
+        assert!(!s[1].next_is_middle(), "stream 2 has not issued");
+        let t = bus.next_issue_time(SimTime::ZERO).unwrap();
+        let _ = bus.issue(t); // stream 2's first: awaits its ack
+        let t = bus.next_issue_time(t).unwrap();
+        let _ = bus.issue(t); // stream 1's second
+        let s: Vec<ReadyStream> = bus.ready_streams().collect();
+        assert_eq!((s.len(), s[0].next_seq), (1, 2));
+        assert!(!s[0].next_is_middle(), "last");
     }
 
     #[test]

@@ -330,8 +330,19 @@ impl<E> EventQueue<E> {
     /// must forbid it assert on pop (see [`EventQueue::pop`] ordering
     /// guarantee).
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.alloc_seq();
+        self.schedule_at_seq(time, seq, event);
+    }
+
+    /// Schedules `event` at `time` under a sequence number reserved
+    /// earlier with [`alloc_seq`](EventQueue::alloc_seq).
+    ///
+    /// This is how a side lane hands its events back: each keeps the
+    /// `(time, seq)` key it was given when it was created, so the queue
+    /// pops it exactly where a direct [`schedule`](EventQueue::schedule)
+    /// would have placed it. Counts as one push.
+    pub fn schedule_at_seq(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         self.stats.pushes += 1;
         let entry = Entry { time, seq, event };
         if self.fast.is_none() {
@@ -347,6 +358,13 @@ impl<E> EventQueue<E> {
     #[inline]
     fn insert_wheel(&mut self, entry: Entry<E>) {
         let abs = entry.time.as_ps() >> QUANTUM_BITS;
+        if self.wheel_len == 0 {
+            // An empty wheel constrains nothing: re-anchor the window on
+            // this entry, so a queue that sat near-empty while the clock
+            // moved on (an engine serving from a side lane) does not push
+            // near-future entries through the overflow heap.
+            self.cur_abs = abs;
+        }
         if abs >= self.cur_abs + SLOTS as u64 {
             self.overflow.push(entry);
             return;
@@ -547,20 +565,24 @@ impl<E> EventQueue<E> {
     /// lane event's key against this yields the exact dispatch order a
     /// single queue would have produced.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        let mut best: Option<(SimTime, u64)> = self.fast.as_ref().map(Entry::key);
+        self.peek_entry().map(|(time, seq, _)| (time, seq))
+    }
+
+    /// The earliest pending entry as `(time, seq, &event)`, if any: the
+    /// entry the next [`pop`](EventQueue::pop) returns.
+    pub fn peek_entry(&self) -> Option<(SimTime, u64, &E)> {
+        let mut best: Option<&Entry<E>> = self.fast.as_ref();
         if let Some(m) = &self.wheel_min {
-            let k = m.key();
-            if best.is_none_or(|b| k < b) {
-                best = Some(k);
+            if best.is_none_or(|b| m.key() < b.key()) {
+                best = Some(&self.arena[m.node].entry);
             }
         }
         if let Some(top) = self.overflow.peek() {
-            let k = top.key();
-            if best.is_none_or(|b| k < b) {
-                best = Some(k);
+            if best.is_none_or(|b| top.key() < b.key()) {
+                best = Some(top);
             }
         }
-        best
+        best.map(|e| (e.time, e.seq, &e.event))
     }
 
     /// Number of pending events.
@@ -779,6 +801,37 @@ mod tests {
         let qk = q.peek_key().unwrap();
         assert!((at(5), lane_seq) < qk);
         assert_eq!(q.pop().unwrap().1, "tied");
+    }
+
+    #[test]
+    fn reserved_seq_schedules_pop_in_reservation_order() {
+        let mut q = EventQueue::new();
+        let early = q.alloc_seq();
+        q.schedule(at(5), "direct");
+        let late = q.alloc_seq();
+        // Handed back out of order, both land where a direct schedule at
+        // reservation time would have put them.
+        q.schedule_at_seq(at(5), late, "late");
+        q.schedule_at_seq(at(5), early, "early");
+        assert_eq!(q.stats().pushes, 3);
+        assert_eq!(q.peek_entry(), Some((at(5), early, &"early")));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["early", "direct", "late"]);
+    }
+
+    #[test]
+    fn peek_entry_sees_the_next_pop_in_every_tier() {
+        let mut q = EventQueue::new();
+        // Fast slot, wheel and overflow heap each hold the minimum once.
+        q.schedule(at(40), 1);
+        q.schedule(SimTime::ZERO + SimDuration::from_ms(1), 3);
+        q.schedule(at(20), 0);
+        q.schedule(at(60), 2);
+        while let Some((t, seq, &e)) = q.peek_entry() {
+            assert_eq!(q.peek_key(), Some((t, seq)));
+            assert_eq!(q.pop(), Some((t, e)));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -55,12 +55,22 @@ fn read_u8<R: BufRead>(r: &mut R) -> Result<u8, ParseTraceError> {
     Ok(b[0])
 }
 
+/// Narrows a record field to its on-disk width, refusing (rather than
+/// truncating) a value that does not fit.
+fn field<T: TryFrom<V>, V>(value: V, what: &str) -> io::Result<T> {
+    T::try_from(value).map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, what))
+}
+
 impl Trace {
     /// Writes the trace in the compact binary format.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the writer.
+    /// Propagates I/O errors from the writer, and fails with
+    /// [`io::ErrorKind::InvalidInput`] when a field does not fit its
+    /// on-disk width (a DMA bus above `u16::MAX` or a transfer of 4 GiB
+    /// or more; a processor page above `u32::MAX` or an access above
+    /// `u16::MAX` bytes).
     pub fn write_binary<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(MAGIC)?;
         w.write_all(&[VERSION])?;
@@ -70,9 +80,9 @@ impl Trace {
                 TraceEvent::Dma(d) => {
                     w.write_all(&[0u8])?;
                     w.write_all(&d.time.as_ps().to_le_bytes())?;
-                    w.write_all(&(d.bus as u16).to_le_bytes())?;
+                    w.write_all(&field::<u16, _>(d.bus, "DMA bus exceeds u16")?.to_le_bytes())?;
                     w.write_all(&d.page.to_le_bytes())?;
-                    w.write_all(&(d.bytes as u32).to_le_bytes())?;
+                    w.write_all(&field::<u32, _>(d.bytes, "DMA bytes exceed u32")?.to_le_bytes())?;
                     w.write_all(&[match d.direction {
                         DmaDirection::FromMemory => 0u8,
                         DmaDirection::ToMemory => 1,
@@ -85,22 +95,9 @@ impl Trace {
                 TraceEvent::Proc(p) => {
                     w.write_all(&[1u8])?;
                     w.write_all(&p.time.as_ps().to_le_bytes())?;
+                    w.write_all(&field::<u32, _>(p.page, "proc page exceeds u32")?.to_le_bytes())?;
                     w.write_all(
-                        &u32::try_from(p.page)
-                            .map_err(|_| {
-                                io::Error::new(io::ErrorKind::InvalidInput, "proc page exceeds u32")
-                            })?
-                            .to_le_bytes(),
-                    )?;
-                    w.write_all(
-                        &u16::try_from(p.bytes)
-                            .map_err(|_| {
-                                io::Error::new(
-                                    io::ErrorKind::InvalidInput,
-                                    "proc access exceeds u16 bytes",
-                                )
-                            })?
-                            .to_le_bytes(),
+                        &field::<u16, _>(p.bytes, "proc access exceeds u16 bytes")?.to_le_bytes(),
                     )?;
                 }
             }
@@ -125,7 +122,9 @@ impl Trace {
             return Err(bad(format!("unsupported version {version}")));
         }
         let count = read_u64(&mut r)?;
-        let mut events = Vec::with_capacity(count.min(1 << 24) as usize);
+        // The count is untrusted input: a corrupt header must not reserve
+        // gigabytes up front, so growth past 64 Ki events is on demand.
+        let mut events = Vec::with_capacity(count.min(1 << 16) as usize);
         for i in 0..count {
             let tag = read_u8(&mut r)?;
             match tag {
@@ -250,6 +249,36 @@ mod tests {
         buf[13] = 7; // the event tag (4 magic + 1 version + 8 count)
         let err = Trace::read_binary(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("unknown tag"), "{err}");
+    }
+
+    fn one_dma(bus: usize, bytes: u64) -> Trace {
+        Trace::from_events(vec![TraceEvent::Dma(DmaRecord {
+            time: SimTime::ZERO,
+            bus,
+            page: 3,
+            bytes,
+            direction: DmaDirection::ToMemory,
+            source: DmaSource::Disk,
+        })])
+    }
+
+    #[test]
+    fn oversized_dma_fields_are_refused_not_truncated() {
+        // Exactly 4 GiB used to be written as 0 bytes, which the reader
+        // then rejected as a zero-byte DMA.
+        for (t, what) in [
+            (one_dma(0, 1 << 32), "bytes"),
+            (one_dma(1 << 16, 8192), "bus"),
+        ] {
+            let err = t.write_binary(Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{what}");
+            assert!(err.to_string().contains(what), "{err}");
+        }
+        // The widest values that fit still round-trip.
+        let t = one_dma(usize::from(u16::MAX), u64::from(u32::MAX));
+        let mut buf = Vec::new();
+        t.write_binary(&mut buf).unwrap();
+        assert_eq!(Trace::read_binary(buf.as_slice()).unwrap(), t);
     }
 
     #[test]

@@ -124,6 +124,9 @@ impl Trace {
                     let bus: usize = field(&mut parts, line_no, "bus")?;
                     let page: u64 = field(&mut parts, line_no, "page")?;
                     let bytes: u64 = field(&mut parts, line_no, "bytes")?;
+                    if bytes == 0 {
+                        return Err(ParseTraceError::Line(line_no, "zero-byte DMA".into()));
+                    }
                     let dir: String = field(&mut parts, line_no, "direction")?;
                     let src: String = field(&mut parts, line_no, "source")?;
                     let direction = match dir.as_str() {
@@ -263,6 +266,15 @@ mod tests {
         let err = Trace::read_text("P 1 5 64 extra".as_bytes()).unwrap_err();
         match err {
             ParseTraceError::Line(1, msg) => assert!(msg.contains("trailing")),
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn zero_byte_dma_is_rejected_like_the_binary_reader() {
+        let err = Trace::read_text("P 1 5 64\nD 0 0 0 0 F N\n".as_bytes()).unwrap_err();
+        match err {
+            ParseTraceError::Line(2, msg) => assert!(msg.contains("zero-byte DMA"), "{msg}"),
             other => panic!("wrong error: {other}"),
         }
     }

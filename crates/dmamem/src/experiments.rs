@@ -1012,7 +1012,7 @@ pub fn traced_runs_spill_ctx(
     for w in [Workload::OltpSt, Workload::OltpDb] {
         let trace = w.shared_trace(ctx, exp);
         let mut sim =
-            ServerSimulator::new(config.clone(), Scheme::baseline()).with_tracing(capacity);
+            ServerSimulator::new(config.clone(), Scheme::baseline()).with_tracing(capacity, None);
         if let Some(live) = ctx.live() {
             sim = sim.with_live(std::sync::Arc::clone(live));
         }
@@ -1026,13 +1026,10 @@ pub fn traced_runs_spill_ctx(
     let extra = Workload::OltpSt.client_extra_latency();
     let baseline = ctx.run(&config, Scheme::baseline(), &trace);
     let mu = mu_from_baseline(&config, &baseline, cp_limit, extra);
-    let mut sim =
-        ServerSimulator::new(config.clone(), Scheme::dma_ta_pl(mu, 2)).with_tracing(capacity);
+    let mut sim = ServerSimulator::new(config.clone(), Scheme::dma_ta_pl(mu, 2))
+        .with_tracing(capacity, spill);
     if let Some(live) = ctx.live() {
         sim = sim.with_live(std::sync::Arc::clone(live));
-    }
-    if let Some(sink) = spill {
-        sim = sim.with_trace_spill(sink);
     }
     let result = sim.run(trace.trace());
     runs.push(TracedRun {

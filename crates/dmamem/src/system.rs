@@ -22,7 +22,7 @@ use dma_trace::{Trace, TraceEvent};
 use iobus::{Bus, BusDiscipline, BusId, DmaRequest, DmaTransfer, IssueOutcome, PageId, TransferId};
 use mempower::policy::PowerPolicy;
 use mempower::{Chip, ChipPhase, EnergyBreakdown, EnergyCategory, PowerMode};
-use simcore::obs::{EventSink, LiveState, MetricsRegistry, SpillSink};
+use simcore::obs::{LiveState, MetricsRegistry, SpillSink};
 use simcore::prof::{EngineProfile, Phase, PhaseProfile};
 use simcore::stats::DurationStats;
 use simcore::{EventQueue, SimDuration, SimTime, Slab};
@@ -32,7 +32,7 @@ use crate::controller::pl::{plan_and_apply_observed, PopularityTracker};
 use crate::controller::ta::{ReleaseRule, SlackAccount};
 use crate::layout::PageMap;
 use crate::metrics::SimResult;
-use crate::obs::{DebitCause, Obs, ObsMetrics, ReleaseCause, RunObs, SlackSummary};
+use crate::obs::{DebitCause, EventLog, Obs, ObsMetrics, ReleaseCause, SimEvent, SlackSummary};
 use crate::timeline::{ChipActivity, TimelineRecorder};
 use crate::tracing::Tracer;
 
@@ -56,8 +56,7 @@ pub struct ServerSimulator {
     scheme: Scheme,
     timeline_window: Option<(SimTime, SimTime)>,
     observability: Option<usize>,
-    tracing: Option<usize>,
-    trace_spill: Option<SpillSink>,
+    tracing: Option<(usize, Option<SpillSink>)>,
     live: Option<Arc<LiveState>>,
     classic: bool,
 }
@@ -77,7 +76,6 @@ impl ServerSimulator {
             timeline_window: None,
             observability: None,
             tracing: None,
-            trace_spill: None,
             live: None,
             classic: false,
         }
@@ -98,12 +96,12 @@ impl ServerSimulator {
         self
     }
 
-    /// Enables full observability: metric collection, chip power-mode
-    /// transition logging, and event tracing into a ring buffer of
-    /// `event_capacity` events (oldest dropped first). The result's
-    /// [`SimResult::obs`] then carries the metrics snapshot and the event
-    /// stream; see [`crate::obs`] for the event schema and
-    /// [`crate::obs::replay_slack`] for the guarantee audit trail.
+    /// Enables full observability: metric collection and event tracing
+    /// into a ring buffer of `event_capacity` events (oldest dropped
+    /// first). The result's [`SimResult::obs`] then carries the metrics
+    /// snapshot and the event stream; see [`crate::obs`] for the event
+    /// schema and [`crate::obs::replay_slack`] for the guarantee audit
+    /// trail.
     ///
     /// # Panics
     ///
@@ -134,23 +132,18 @@ impl ServerSimulator {
     /// [`to_chrome_json`](simcore::obs::trace::TraceBuffer::to_chrome_json)
     /// and open the file in Perfetto. See [`crate::tracing`].
     ///
+    /// With a `spill` sink the tracer runs in bounded-memory spill mode:
+    /// records displaced from the span ring stream to the sink instead of
+    /// being dropped, and `dmamem.trace.spilled` / `dmamem.trace.dropped`
+    /// land in the metrics snapshot (when observability is on) so loss is
+    /// never silent.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_tracing(mut self, capacity: usize) -> Self {
+    pub fn with_tracing(mut self, capacity: usize, spill: Option<SpillSink>) -> Self {
         assert!(capacity > 0, "zero-capacity trace buffer");
-        self.tracing = Some(capacity);
-        self
-    }
-
-    /// Arms bounded-memory spill mode on the tracer: records displaced
-    /// from the span ring stream to `sink` instead of being dropped, and
-    /// `dmamem.trace.spilled` / `dmamem.trace.dropped` land in the
-    /// metrics snapshot (when observability is on) so loss is never
-    /// silent. Requires [`with_tracing`](ServerSimulator::with_tracing);
-    /// ignored otherwise.
-    pub fn with_trace_spill(mut self, sink: SpillSink) -> Self {
-        self.trace_spill = Some(sink);
+        self.tracing = Some((capacity, spill));
         self
     }
 
@@ -186,18 +179,17 @@ impl ServerSimulator {
         let mut engine = Engine::new(&self.config, &self.scheme);
         engine.classic = self.classic;
         engine.live = self.live.clone();
+        engine.obs_quiet = self.timeline_window.is_none()
+            && self.observability.is_none()
+            && self.tracing.is_none();
         if let Some((start, end)) = self.timeline_window {
             engine.obs.timeline = Some(TimelineRecorder::new(start, end, self.config.chips));
         }
         if let Some(capacity) = self.observability {
-            let registry = MetricsRegistry::new();
-            engine.obs.sink = Some(EventSink::new(capacity));
-            engine.obs.metrics = Some(ObsMetrics::new(&registry));
-            for c in &mut engine.chips {
-                c.chip.enable_transition_log();
-            }
+            engine.obs.log = Some(EventLog::new(capacity));
+            engine.obs.metrics = Some(ObsMetrics::new(&MetricsRegistry::new()));
         }
-        if let Some(capacity) = self.tracing {
+        if let Some((capacity, spill)) = &self.tracing {
             let m = &self.config.power_model;
             let powers = [
                 m.mode_power_mw(PowerMode::Active),
@@ -205,15 +197,16 @@ impl ServerSimulator {
                 m.mode_power_mw(PowerMode::Nap),
                 m.mode_power_mw(PowerMode::Powerdown),
             ];
-            let mut tracer =
-                Tracer::new(capacity, self.config.chips, self.config.buses.len(), powers);
-            if let Some(sink) = &self.trace_spill {
+            let mut tracer = Tracer::new(
+                *capacity,
+                self.config.chips,
+                self.config.buses.len(),
+                powers,
+            );
+            if let Some(sink) = spill {
                 tracer = tracer.with_spill(sink.clone());
             }
             engine.obs.tracer = Some(tracer);
-            for c in &mut engine.chips {
-                c.chip.enable_transition_log();
-            }
         }
         engine.run(trace)
     }
@@ -464,9 +457,10 @@ struct Engine<'a> {
     /// (no fast-forward, no train windows); see
     /// [`ServerSimulator::with_classic_event_core`].
     classic: bool,
-    /// No observability consumer is attached, so skipping a no-op tick
-    /// cannot lose an event-stream record or metric increment. Cached at
-    /// run start (consumers never attach mid-run).
+    /// No observer is attached: the engine builds no [`SimEvent`], and
+    /// skipping a no-op tick cannot lose an event-stream record or metric
+    /// increment. The only observer guard; set before the run starts
+    /// (observers never attach mid-run).
     obs_quiet: bool,
     /// Live telemetry: the engine stores a coarse sim-clock watermark
     /// into it whenever the clock has advanced [`WATERMARK_STRIDE_PS`]
@@ -582,12 +576,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Feeds the activity consumers (timeline recorder, event sink) the
-    /// chip's current activity.
-    fn tl_note(&mut self, chip: usize) {
-        if !self.obs.wants_activity() {
-            return;
-        }
+    /// Emits the chip's current activity (the observer hub drops
+    /// repeats). Callers check `obs_quiet` first, so the quiet path pays
+    /// one branch and no call.
+    fn emit_activity(&mut self, chip: usize) {
         let c = &self.chips[chip];
         let activity = match c.chip.phase() {
             ChipPhase::Steady(PowerMode::Active) => {
@@ -602,22 +594,14 @@ impl<'a> Engine<'a> {
             ChipPhase::Steady(_) => ChipActivity::LowPower,
             _ => ChipActivity::Transitioning,
         };
-        self.obs.note_activity(chip, self.now, activity);
-    }
-
-    /// Drains the chip's power-transition log into the event stream.
-    fn note_transitions(&mut self, chip: usize) {
-        if !self.obs.enabled() {
-            return;
-        }
-        let events = self.chips[chip].chip.take_transition_events();
-        if !events.is_empty() {
-            self.obs.note_transitions(chip, events);
-        }
+        self.obs.emit(SimEvent::Activity {
+            at: self.now,
+            chip,
+            activity,
+        });
     }
 
     fn run(mut self, trace: &Trace) -> SimResult {
-        self.obs_quiet = !self.obs.enabled();
         let events = trace.events();
         if let Some(first) = events.first() {
             self.queue.schedule(first.time(), Ev::Trace);
@@ -684,9 +668,6 @@ impl<'a> Engine<'a> {
         if let Some(live) = &self.live {
             live.watermark_ps(horizon.as_ps());
         }
-        if let Some(rec) = &mut self.obs.timeline {
-            rec.finish(horizon);
-        }
         // Close the slack ledger so the audit trail is self-contained.
         let slack_summary = self.slack.as_ref().map(|s| {
             let (epoch, wake, proc, queue) = s.debits_ps();
@@ -700,34 +681,23 @@ impl<'a> Engine<'a> {
                 min_ps: s.min_slack_ps(),
             }
         });
-        if let Some(s) = &self.slack {
-            let (credited, balance, min, mu) = (
-                s.credited_requests(),
-                s.slack_ps(),
-                s.min_slack_ps(),
-                s.mu(),
-            );
-            self.obs.slack_close(
-                horizon,
-                credited,
-                balance,
-                min,
-                self.served,
-                self.service_sum_ps,
-                mu,
-                self.config.t_request(),
-            );
-        } else {
-            self.obs.flush_credits();
+        if let (Some(s), false) = (&self.slack, self.obs_quiet) {
+            self.obs.emit(SimEvent::SlackClose {
+                at: horizon,
+                credited: s.credited_requests(),
+                balance_ps: s.slack_ps(),
+                min_ps: s.min_slack_ps(),
+                served: self.served,
+                service_sum_ps: self.service_sum_ps,
+                mu: s.mu(),
+                t_req_ps: self.config.t_request().as_ps(),
+            });
         }
         let mut energy = EnergyBreakdown::new();
         let mut per_chip_mj = Vec::with_capacity(self.chips.len());
         let mut per_chip_energy = Vec::with_capacity(self.chips.len());
         let mut per_chip_residency = Vec::with_capacity(self.chips.len());
         let mut wakes = 0;
-        for chip in 0..self.chips.len() {
-            self.note_transitions(chip);
-        }
         for c in &mut self.chips {
             c.chip.sync(horizon);
             energy.merge(c.chip.energy());
@@ -748,28 +718,7 @@ impl<'a> Engine<'a> {
             requests: self.dma_requests,
             phases: self.phases,
         };
-        self.obs.publish_prof(&profile);
-        let trace = self.obs.tracer.take().map(|t| t.into_buffer(horizon));
-        // Trace-ring loss accounting: spilled records reached the spill
-        // sink, dropped records are gone. Published whenever both
-        // consumers are attached so truncation is observable, not silent.
-        if let (Some(m), Some(buf)) = (self.obs.metrics.as_ref(), trace.as_ref()) {
-            m.registry
-                .counter(crate::tracing::COUNTER_SPILLED)
-                .add(buf.spilled());
-            m.registry
-                .counter(crate::tracing::COUNTER_DROPPED)
-                .add(buf.dropped());
-        }
-        let obs_report = self.obs.sink.take().map(|events| RunObs {
-            metrics: self
-                .obs
-                .metrics
-                .as_ref()
-                .map(|m| m.registry.snapshot())
-                .unwrap_or_default(),
-            events,
-        });
+        let (obs, timeline, trace) = self.obs.finish(horizon, &profile);
         SimResult {
             scheme: self.scheme.label(),
             energy,
@@ -788,8 +737,8 @@ impl<'a> Engine<'a> {
             page_moves: self.page_moves,
             mu: self.scheme.ta.map_or(0.0, |t| t.mu),
             slack: slack_summary,
-            obs: obs_report,
-            timeline: self.obs.timeline.take(),
+            obs,
+            timeline,
             trace,
             profile,
             sleep_floor_mw: self.config.chips as f64
@@ -839,8 +788,14 @@ impl<'a> Engine<'a> {
         });
         self.chips[chip].chip.dma_transfer_started(self.now);
         self.active_transfers += 1;
-        self.obs.trace_transfer_started(tid, bus, self.now);
-        self.tl_note(chip);
+        if !self.obs_quiet {
+            self.obs.emit(SimEvent::TransferStart {
+                at: self.now,
+                transfer: tid,
+                bus,
+            });
+            self.emit_activity(chip);
+        }
         if let Some(tracker) = &mut self.tracker {
             tracker.record(page);
         }
@@ -863,11 +818,13 @@ impl<'a> Engine<'a> {
         let pending = self.chips[chip].pending_count();
         if let Some(slack) = &mut self.slack {
             slack.debit_proc(self.proc_service, pending);
-            if pending > 0 {
-                let amount = self.proc_service.as_ps() as f64 * pending as f64;
-                let balance = slack.slack_ps();
-                self.obs
-                    .slack_debit(self.now, DebitCause::Proc, amount, balance);
+            if pending > 0 && !self.obs_quiet {
+                self.obs.emit(SimEvent::SlackDebit {
+                    at: self.now,
+                    cause: DebitCause::Proc,
+                    amount_ps: self.proc_service.as_ps() as f64 * pending as f64,
+                    balance_ps: slack.slack_ps(),
+                });
             }
         }
         // A processor access wakes the chip immediately (priority); pending
@@ -1022,10 +979,14 @@ impl<'a> Engine<'a> {
     fn on_dma_request(&mut self, req: DmaRequest) {
         self.dma_requests += 1;
         if let Some(slack) = &mut self.slack {
-            let amount = slack.credit_request();
-            let balance = slack.slack_ps();
-            if self.obs.enabled() {
-                self.obs.slack_credit(self.now, amount, balance);
+            let amount_ps = slack.credit_request();
+            if !self.obs_quiet {
+                self.obs.emit(SimEvent::SlackCredit {
+                    at: self.now,
+                    requests: 1,
+                    amount_ps,
+                    balance_ps: slack.slack_ps(),
+                });
             }
         }
         // simlint::allow(panic-path, "a request's slot is created at TransferStart and lives until the last completion; a vacant slot means the event queue itself is corrupt")
@@ -1036,13 +997,15 @@ impl<'a> Engine<'a> {
         ) || matches!(self.chips[chip].chip.phase(), ChipPhase::GoingDown { .. });
 
         let gathering = req.is_first && self.scheme.ta.is_some() && sleeping;
-        self.obs.trace_issued(
-            req.transfer,
-            req.is_first,
-            req.is_last,
-            sleeping && !gathering,
-            self.now,
-        );
+        if !self.obs_quiet {
+            self.obs.emit(SimEvent::RequestIssued {
+                at: self.now,
+                transfer: req.transfer,
+                is_first: req.is_first,
+                is_last: req.is_last,
+                wake_pending: sleeping && !gathering,
+            });
+        }
         if gathering {
             // DMA-TA: buffer the first request; the stream stays blocked
             // until the ack at service start.
@@ -1055,9 +1018,14 @@ impl<'a> Engine<'a> {
             self.live_requests += 1;
             self.ta_pending_total += 1;
             self.delayed_firsts += 1;
-            let pending = self.chips[chip].pending_count();
-            self.obs.ta_gather(self.now, chip, pending);
-            self.obs.trace_gathered(req.transfer, self.now);
+            if !self.obs_quiet {
+                self.obs.emit(SimEvent::TaGather {
+                    at: self.now,
+                    chip,
+                    pending: self.chips[chip].pending_count(),
+                    transfer: req.transfer,
+                });
+            }
             self.check_release(chip);
         } else {
             self.enqueue_dma(chip, req);
@@ -1121,18 +1089,35 @@ impl<'a> Engine<'a> {
                 let after_wake = slack.slack_ps();
                 slack.debit_residual(residual);
                 let after_residual = slack.slack_ps();
-                if wake_amount > 0.0 {
-                    self.obs
-                        .slack_debit(self.now, DebitCause::Wake, wake_amount, after_wake);
-                }
-                if residual > 0.0 {
-                    self.obs
-                        .slack_debit(self.now, DebitCause::Residual, residual, after_residual);
+                if !self.obs_quiet {
+                    for (cause, amount_ps, balance_ps) in [
+                        (DebitCause::Wake, wake_amount, after_wake),
+                        (DebitCause::Residual, residual, after_residual),
+                    ] {
+                        if amount_ps > 0.0 {
+                            self.obs.emit(SimEvent::SlackDebit {
+                                at: self.now,
+                                cause,
+                                amount_ps,
+                                balance_ps,
+                            });
+                        }
+                    }
                 }
             }
-            self.obs.ta_release(self.now, chip, n, cause);
-            for p in &self.chips[chip].pending {
-                self.obs.trace_released(p.req.transfer, self.now);
+            if !self.obs_quiet {
+                self.obs.emit(SimEvent::TaRelease {
+                    at: self.now,
+                    chip,
+                    released: n,
+                    cause,
+                });
+                for p in &self.chips[chip].pending {
+                    self.obs.emit(SimEvent::TransferRelease {
+                        at: self.now,
+                        transfer: p.req.transfer,
+                    });
+                }
             }
             let c = &mut self.chips[chip];
             for p in &c.pending_per_bus {
@@ -1161,7 +1146,9 @@ impl<'a> Engine<'a> {
     /// Drives a chip forward: wake it if it has work while sleeping, start
     /// the next service if it is free, or arm the policy timer if idle.
     fn make_progress(&mut self, chip: usize) {
-        self.tl_note(chip);
+        if !self.obs_quiet {
+            self.emit_activity(chip);
+        }
         let has_work = !self.chips[chip].queues_empty();
         match self.chips[chip].chip.phase() {
             // Deliberately NOT collapsed into a match guard: a failed guard
@@ -1173,12 +1160,20 @@ impl<'a> Engine<'a> {
                     self.try_serve(chip);
                 }
             }
-            ChipPhase::Steady(_) if has_work => {
+            ChipPhase::Steady(from) if has_work => {
                 let done = self.chips[chip].chip.begin_wake(self.now);
                 self.timer_gen[chip] += 1; // cancel any armed sleep
                 self.schedule(done, Ev::TransitionDone { chip });
-                self.note_transitions(chip);
-                self.tl_note(chip);
+                if !self.obs_quiet {
+                    self.obs.emit(SimEvent::ModeTransition {
+                        at: self.now,
+                        chip,
+                        from,
+                        to: PowerMode::Active,
+                        latency: done - self.now,
+                    });
+                    self.emit_activity(chip);
+                }
             }
             ChipPhase::GoingDown { .. } if has_work => {
                 self.wake_requested[chip] = true;
@@ -1223,7 +1218,12 @@ impl<'a> Engine<'a> {
                 self.buses[r.req.bus].ack_first(r.req.transfer, self.now);
                 self.schedule_bus_tick(r.req.bus);
             }
-            self.obs.trace_serve_start(r.req.transfer, self.now);
+            if !self.obs_quiet {
+                self.obs.emit(SimEvent::ServeStart {
+                    at: self.now,
+                    transfer: r.req.transfer,
+                });
+            }
         } else if let Some(dur) = c.mig_ready.pop_front() {
             c.chip
                 .begin_service(self.now, dur, EnergyCategory::Migration);
@@ -1236,7 +1236,9 @@ impl<'a> Engine<'a> {
         self.serving_count += 1;
         let done = self.chips[chip].chip.busy_until();
         self.schedule(done, Ev::ServiceDone { chip });
-        self.tl_note(chip);
+        if !self.obs_quiet {
+            self.emit_activity(chip);
+        }
     }
 
     /// [`mempower::PowerModel::service_time`] behind a one-entry memo:
@@ -1284,20 +1286,28 @@ impl<'a> Engine<'a> {
                     // the performance budget like any other added delay.
                     if let Some(slack) = &mut self.slack {
                         slack.debit_queue(delay);
-                        let balance = slack.slack_ps();
-                        if delay > 0.0 {
-                            self.obs
-                                .slack_debit(self.now, DebitCause::Queue, delay, balance);
+                        if delay > 0.0 && !self.obs_quiet {
+                            self.obs.emit(SimEvent::SlackDebit {
+                                at: self.now,
+                                cause: DebitCause::Queue,
+                                amount_ps: delay,
+                                balance_ps: slack.slack_ps(),
+                            });
                         }
                     }
                 }
                 self.request_service.record(self.now - arrival);
                 self.served += 1;
                 self.service_sum_ps += (self.now - arrival).as_ps();
-                self.obs.request_served(self.now - arrival);
                 self.dma_serving += service;
-                self.obs
-                    .trace_serve_done(req.transfer, req.is_last, self.now);
+                if !self.obs_quiet {
+                    self.obs.emit(SimEvent::RequestServed {
+                        at: self.now,
+                        transfer: req.transfer,
+                        is_last: req.is_last,
+                        service: self.now - arrival,
+                    });
+                }
                 if req.is_last {
                     // is_last fires exactly once per transfer, so the slot
                     // created at transfer start is still occupied.
@@ -1313,7 +1323,9 @@ impl<'a> Engine<'a> {
             }
             Serving::Migration => {}
         }
-        self.tl_note(chip);
+        if !self.obs_quiet {
+            self.emit_activity(chip);
+        }
         self.try_serve(chip);
     }
 
@@ -1335,12 +1347,12 @@ impl<'a> Engine<'a> {
             return; // superseded — the common stale-timer case
         }
         let c = &mut self.chips[chip];
-        let steady_idle = match c.chip.phase() {
-            ChipPhase::Steady(PowerMode::Active) => c.chip.is_free(self.now),
-            ChipPhase::Steady(_) => true,
-            _ => false,
+        let from = match c.chip.phase() {
+            ChipPhase::Steady(PowerMode::Active) if !c.chip.is_free(self.now) => return,
+            ChipPhase::Steady(mode) => mode,
+            _ => return,
         };
-        if !steady_idle || self.serving[chip].is_some() || !c.queues_empty() {
+        if self.serving[chip].is_some() || !c.queues_empty() {
             return;
         }
         let Some(target) = self.planned_mode[chip].take() else {
@@ -1348,14 +1360,24 @@ impl<'a> Engine<'a> {
         };
         let done = self.chips[chip].chip.begin_sleep(self.now, target);
         self.schedule(done, Ev::TransitionDone { chip });
-        self.note_transitions(chip);
-        self.tl_note(chip);
+        if !self.obs_quiet {
+            self.obs.emit(SimEvent::ModeTransition {
+                at: self.now,
+                chip,
+                from,
+                to: target,
+                latency: done - self.now,
+            });
+            self.emit_activity(chip);
+        }
     }
 
     fn on_transition_done(&mut self, chip: usize) {
         let was_waking = matches!(self.chips[chip].chip.phase(), ChipPhase::Waking { .. });
         self.chips[chip].chip.complete_transition(self.now);
-        self.tl_note(chip);
+        if !self.obs_quiet {
+            self.emit_activity(chip);
+        }
         let c = &mut self.chips[chip];
         if was_waking {
             let idle = self.now.saturating_since(self.idle_start[chip]);
@@ -1364,16 +1386,24 @@ impl<'a> Engine<'a> {
             self.try_serve(chip);
         } else {
             // Settled into a low-power mode.
+            // simlint::allow(panic-path, "TransitionDone leaves the chip settled in a steady mode; mode() is None only mid-transition")
+            let mode = c.chip.mode().expect("steady after transition");
             if self.wake_requested[chip] || !c.queues_empty() {
                 self.wake_requested[chip] = false;
                 let done = c.chip.begin_wake(self.now);
                 self.schedule(done, Ev::TransitionDone { chip });
-                self.note_transitions(chip);
+                if !self.obs_quiet {
+                    self.obs.emit(SimEvent::ModeTransition {
+                        at: self.now,
+                        chip,
+                        from: mode,
+                        to: PowerMode::Active,
+                        latency: done - self.now,
+                    });
+                }
             } else {
                 // Arm the next deeper step (thresholds measured from the
                 // start of the idle period).
-                // simlint::allow(panic-path, "TransitionDone leaves the chip settled in a steady mode; mode() is None only mid-transition")
-                let mode = c.chip.mode().expect("steady after transition");
                 let idle_start = self.idle_start[chip];
                 if let Some((target, when)) = c.policy.next_step(mode, idle_start) {
                     self.planned_mode[chip] = Some(target);
@@ -1393,14 +1423,21 @@ impl<'a> Engine<'a> {
         self.last_epoch_tick = self.now;
         if let Some(slack) = &mut self.slack {
             slack.debit_epoch(ta.epoch, self.ta_pending_total);
-            let balance = slack.slack_ps();
-            if self.ta_pending_total > 0 {
-                let amount = ta.epoch.as_ps() as f64 * self.ta_pending_total as f64;
-                self.obs
-                    .slack_debit(self.now, DebitCause::Epoch, amount, balance);
+            if self.ta_pending_total > 0 && !self.obs_quiet {
+                self.obs.emit(SimEvent::SlackDebit {
+                    at: self.now,
+                    cause: DebitCause::Epoch,
+                    amount_ps: ta.epoch.as_ps() as f64 * self.ta_pending_total as f64,
+                    balance_ps: slack.slack_ps(),
+                });
             }
         }
-        self.obs.epoch_tick(self.now, self.ta_pending_total);
+        if !self.obs_quiet {
+            self.obs.emit(SimEvent::EpochTick {
+                at: self.now,
+                pending: self.ta_pending_total,
+            });
+        }
         if self.ta_pending_total > 0 {
             for chip in 0..self.chips.len() {
                 if self.chips[chip].pending_count() > 0 {
@@ -1450,8 +1487,22 @@ impl<'a> Engine<'a> {
             plan_and_apply_observed(tracker, &mut self.page_map, &pl, fpc, min_hot)
         };
         self.page_moves += moves.len() as u64;
-        self.obs
-            .pl_plan(self.now, stats.hot_pages, stats.hot_chips, &moves);
+        if !self.obs_quiet {
+            self.obs.emit(SimEvent::PlPlan {
+                at: self.now,
+                hot_pages: stats.hot_pages,
+                hot_chips: stats.hot_chips,
+                moves: moves.len(),
+            });
+            for m in &moves {
+                self.obs.emit(SimEvent::PageMove {
+                    at: self.now,
+                    page: m.page,
+                    from: m.from,
+                    to: m.to,
+                });
+            }
+        }
         // Each move is a page copy: read on the source chip, write on the
         // destination. Both sides burn active cycles billed to the
         // Migration category and really occupy the chips. With small

@@ -2,10 +2,13 @@
 //! time-line diagrams, as data).
 //!
 //! A [`TimelineRecorder`] captures, inside a bounded observation window,
-//! every change of each chip's activity state. The simulator feeds it; the
-//! renderer turns it into the paper's up-down timeline pictures in ASCII.
+//! every change of each chip's activity state. The simulator feeds it
+//! from its event stream; the renderer turns it into the paper's up-down
+//! timeline pictures in ASCII.
 
 use simcore::{SimDuration, SimTime};
+
+use crate::obs::SimEvent;
 
 /// What a chip is doing, as drawn in the paper's timelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,6 +104,14 @@ impl TimelineRecorder {
     /// The observation window.
     pub fn window(&self) -> (SimTime, SimTime) {
         (self.window_start, self.window_end)
+    }
+
+    /// Consumes one engine event: chip-activity changes extend the
+    /// timeline, every other fact is ignored.
+    pub fn on(&mut self, ev: &SimEvent) {
+        if let SimEvent::Activity { at, chip, activity } = *ev {
+            self.record(chip, at, activity);
+        }
     }
 
     /// Records that `chip` entered `activity` at `now`, closing any open

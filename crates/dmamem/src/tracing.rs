@@ -6,7 +6,7 @@
 //! the waste exists; this module shows *where it comes from*, one
 //! transfer at a time.
 //!
-//! [`Tracer`] turns the engine's hook stream into a
+//! [`Tracer`] turns the engine's event stream into a
 //! [`TraceBuffer`] span forest:
 //!
 //! * one **bus track** per I/O bus, where every DMA transfer is a root
@@ -33,12 +33,13 @@
 
 use std::collections::BTreeMap;
 
-use mempower::{EnergyBreakdown, EnergyCategory, PowerMode, TransitionEvent};
+use mempower::{EnergyBreakdown, EnergyCategory, PowerMode};
 use simcore::obs::json::JsonObject;
 use simcore::obs::trace::{SpanId, SpillSink, TraceBuffer, TrackId, TrackKind};
 use simcore::SimTime;
 
 use crate::metrics::SimResult;
+use crate::obs::SimEvent;
 use crate::timeline::ChipActivity;
 
 /// Root span on a bus track: one whole DMA transfer, arrival to last
@@ -110,17 +111,13 @@ struct TransferTrace {
     last_issued: bool,
 }
 
-/// Builds the causal span trace from the engine's hook stream.
+/// Builds the causal span trace from the engine's event stream.
 ///
-/// Created by [`crate::ServerSimulator::with_tracing`]; the engine calls
-/// the hook methods through [`crate::obs::Obs`], and the finished
-/// [`TraceBuffer`] lands in [`SimResult::trace`].
-///
-/// Timestamps are clamped monotonically: chip transition events are
-/// drained in batches after the fact, so a late-drained event may carry
-/// a stamp earlier than the latest hook already recorded. The clamp
-/// keeps the buffer valid without perturbing order-sensitive spans
-/// (hook calls themselves arrive in simulation order).
+/// Created by [`crate::ServerSimulator::with_tracing`]; the engine passes
+/// it every [`SimEvent`] through [`Tracer::on`], and the finished
+/// [`TraceBuffer`] lands in [`SimResult::trace`]. Events arrive in
+/// simulation-time order (the engine's observer hub asserts it), so every
+/// span begins and ends at the stamp of the fact that caused it.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     buf: TraceBuffer,
@@ -129,7 +126,6 @@ pub struct Tracer {
     chip_spans: Vec<Option<SpanId>>,
     mode_power_mw: [f64; 4],
     transfers: BTreeMap<u64, TransferTrace>,
-    last: SimTime,
 }
 
 impl Tracer {
@@ -156,7 +152,6 @@ impl Tracer {
             chip_spans: vec![None; chips],
             mode_power_mw,
             transfers: BTreeMap::new(),
-            last: SimTime::ZERO,
         }
     }
 
@@ -170,10 +165,34 @@ impl Tracer {
         self
     }
 
-    fn at(&mut self, t: SimTime) -> SimTime {
-        let t = t.max(self.last);
-        self.last = t;
-        t
+    /// Consumes one engine event: transfer-level facts drive the bus
+    /// tracks, chip activity and power-mode transitions the chip tracks;
+    /// every other fact is ignored.
+    pub fn on(&mut self, ev: &SimEvent) {
+        match *ev {
+            SimEvent::TransferStart { at, transfer, bus } => {
+                self.transfer_started(transfer, bus, at);
+            }
+            SimEvent::RequestIssued {
+                at,
+                transfer,
+                is_first,
+                is_last,
+                wake_pending,
+            } => self.issued(transfer, is_first, is_last, wake_pending, at),
+            SimEvent::TaGather { at, transfer, .. } => self.gathered(transfer, at),
+            SimEvent::TransferRelease { at, transfer } => self.released(transfer, at),
+            SimEvent::ServeStart { at, transfer } => self.serve_start(transfer, at),
+            SimEvent::RequestServed {
+                at,
+                transfer,
+                is_last,
+                ..
+            } => self.serve_done(transfer, is_last, at),
+            SimEvent::Activity { at, chip, activity } => self.chip_activity(chip, at, activity),
+            SimEvent::ModeTransition { at, chip, to, .. } => self.transition(chip, at, to),
+            _ => {}
+        }
     }
 
     fn mode_power(&self, mode: PowerMode) -> f64 {
@@ -187,8 +206,7 @@ impl Tracer {
     }
 
     /// A DMA transfer arrived at the controller: open its root span.
-    pub fn transfer_started(&mut self, tid: u64, bus: usize, now: SimTime) {
-        let at = self.at(now);
+    fn transfer_started(&mut self, tid: u64, bus: usize, at: SimTime) {
         let Some(&track) = self.bus_tracks.get(bus) else {
             return;
         };
@@ -210,15 +228,7 @@ impl Tracer {
     /// The bus delivered one request of transfer `tid` to the controller.
     /// `wake_pending` is true when the request triggers an immediate chip
     /// wake (no gathering).
-    pub fn issued(
-        &mut self,
-        tid: u64,
-        is_first: bool,
-        is_last: bool,
-        wake_pending: bool,
-        now: SimTime,
-    ) {
-        let at = self.at(now);
+    fn issued(&mut self, tid: u64, is_first: bool, is_last: bool, wake_pending: bool, at: SimTime) {
         let Some(t) = self.transfers.get_mut(&tid) else {
             return;
         };
@@ -233,8 +243,7 @@ impl Tracer {
     }
 
     /// DMA-TA parked transfer `tid` in the gather queue.
-    pub fn gathered(&mut self, tid: u64, now: SimTime) {
-        let at = self.at(now);
+    fn gathered(&mut self, tid: u64, at: SimTime) {
         let Some(t) = self.transfers.get_mut(&tid) else {
             return;
         };
@@ -246,8 +255,7 @@ impl Tracer {
     }
 
     /// DMA-TA released the gather group containing transfer `tid`.
-    pub fn released(&mut self, tid: u64, now: SimTime) {
-        let at = self.at(now);
+    fn released(&mut self, tid: u64, at: SimTime) {
         let Some(t) = self.transfers.get_mut(&tid) else {
             return;
         };
@@ -263,8 +271,7 @@ impl Tracer {
     }
 
     /// The chip began serving a request of transfer `tid`.
-    pub fn serve_start(&mut self, tid: u64, now: SimTime) {
-        let at = self.at(now);
+    fn serve_start(&mut self, tid: u64, at: SimTime) {
         let Some(t) = self.transfers.get_mut(&tid) else {
             return;
         };
@@ -297,8 +304,7 @@ impl Tracer {
     }
 
     /// The chip finished serving a request of transfer `tid`.
-    pub fn serve_done(&mut self, tid: u64, is_last: bool, now: SimTime) {
-        let at = self.at(now);
+    fn serve_done(&mut self, tid: u64, is_last: bool, at: SimTime) {
         let Some(t) = self.transfers.get_mut(&tid) else {
             return;
         };
@@ -326,10 +332,9 @@ impl Tracer {
         t.phase = Phase::ActiveIdle;
     }
 
-    /// Chip `chip` entered a new activity period (deduplicated upstream by
-    /// [`crate::obs::Obs::note_activity`]).
-    pub fn chip_activity(&mut self, chip: usize, now: SimTime, activity: ChipActivity) {
-        let at = self.at(now);
+    /// Chip `chip` entered a new activity period (repeats are dropped
+    /// upstream, before any consumer sees them).
+    fn chip_activity(&mut self, chip: usize, at: SimTime, activity: ChipActivity) {
         let Some(&track) = self.chip_tracks.get(chip) else {
             return;
         };
@@ -348,20 +353,18 @@ impl Tracer {
 
     /// Chip `chip` began a power-mode transition: drop a counter sample at
     /// the power of the mode being entered.
-    pub fn transition(&mut self, chip: usize, ev: &TransitionEvent) {
-        let at = self.at(ev.at);
+    fn transition(&mut self, chip: usize, at: SimTime, to: PowerMode) {
         let Some(&track) = self.chip_tracks.get(chip) else {
             return;
         };
-        let value = self.mode_power(ev.to);
+        let value = self.mode_power(to);
         self.buf.counter(track, COUNTER_POWER, at, value);
     }
 
     /// Closes every open span at `horizon` and returns the finished
     /// buffer.
     pub fn into_buffer(mut self, horizon: SimTime) -> TraceBuffer {
-        let at = self.at(horizon);
-        self.buf.finish(at);
+        self.buf.finish(horizon);
         self.buf
     }
 }
@@ -592,14 +595,65 @@ mod tests {
         assert_eq!(TRACE_KEYS.len(), 14);
     }
 
+    fn started(at: SimTime, transfer: u64, bus: usize) -> SimEvent {
+        SimEvent::TransferStart { at, transfer, bus }
+    }
+
+    fn issued(at: SimTime, transfer: u64, first: bool, last: bool, wake: bool) -> SimEvent {
+        SimEvent::RequestIssued {
+            at,
+            transfer,
+            is_first: first,
+            is_last: last,
+            wake_pending: wake,
+        }
+    }
+
+    fn gathered(at: SimTime, transfer: u64) -> SimEvent {
+        SimEvent::TaGather {
+            at,
+            chip: 0,
+            pending: 1,
+            transfer,
+        }
+    }
+
+    fn serve_start(at: SimTime, transfer: u64) -> SimEvent {
+        SimEvent::ServeStart { at, transfer }
+    }
+
+    fn served(at: SimTime, transfer: u64, is_last: bool) -> SimEvent {
+        SimEvent::RequestServed {
+            at,
+            transfer,
+            is_last,
+            service: SimDuration::from_ns(3),
+        }
+    }
+
+    fn activity(at: SimTime, chip: usize, activity: ChipActivity) -> SimEvent {
+        SimEvent::Activity { at, chip, activity }
+    }
+
+    fn feed(tr: &mut Tracer, events: &[SimEvent]) {
+        for ev in events {
+            tr.on(ev);
+        }
+    }
+
     #[test]
     fn spill_armed_tracer_finalizes_to_ring_export() {
         let (sink, cell) = SpillSink::memory();
         let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]).with_spill(sink);
-        tr.transfer_started(7, 0, t(1));
-        tr.issued(7, true, true, true, t(2));
-        tr.serve_start(7, t(3));
-        tr.serve_done(7, true, t(4));
+        feed(
+            &mut tr,
+            &[
+                started(t(1), 7, 0),
+                issued(t(2), 7, true, true, true),
+                serve_start(t(3), 7),
+                served(t(4), 7, true),
+            ],
+        );
         let mut buf = tr.into_buffer(t(5));
         let ring_json = buf.to_chrome_json();
         assert_eq!(buf.spilled(), 0, "ample capacity: nothing spills early");
@@ -611,13 +665,18 @@ mod tests {
     #[test]
     fn lockstep_transfer_produces_balanced_tree() {
         let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]);
-        tr.transfer_started(7, 0, t(1));
-        tr.issued(7, true, false, true, t(2)); // wake pending -> wakeup child
-        tr.serve_start(7, t(3)); // wakeup ends, lockstep begins
-        tr.serve_done(7, false, t(4)); // caught up -> active_idle
-        tr.issued(7, false, true, false, t(5));
-        tr.serve_start(7, t(5)); // last issued -> drain
-        tr.serve_done(7, true, t(6)); // root closes
+        feed(
+            &mut tr,
+            &[
+                started(t(1), 7, 0),
+                issued(t(2), 7, true, false, true), // wake pending -> wakeup child
+                serve_start(t(3), 7),               // wakeup ends, lockstep begins
+                served(t(4), 7, false),             // caught up -> active_idle
+                issued(t(5), 7, false, true, false),
+                serve_start(t(5), 7),  // last issued -> drain
+                served(t(6), 7, true), // root closes
+            ],
+        );
         let buf = tr.into_buffer(t(10));
         let stats = buf.validate().expect("trace must validate");
         // Root + wakeup + lockstep + active_idle + drain.
@@ -631,15 +690,24 @@ mod tests {
     #[test]
     fn gathered_transfer_gets_gather_and_release() {
         let mut tr = Tracer::new(1 << 12, 2, 1, [300.0, 180.0, 30.0, 3.0]);
-        tr.transfer_started(1, 0, t(1));
-        tr.issued(1, true, false, false, t(1)); // gathering: no wake span yet
-        tr.gathered(1, t(1));
-        tr.released(1, t(40)); // gather ends, release mark, wakeup begins
-        tr.serve_start(1, t(46));
-        tr.issued(1, false, true, false, t(47));
-        tr.serve_done(1, false, t(48));
-        tr.serve_start(1, t(48));
-        tr.serve_done(1, true, t(49));
+        feed(
+            &mut tr,
+            &[
+                started(t(1), 1, 0),
+                issued(t(1), 1, true, false, false), // gathering: no wake span yet
+                gathered(t(1), 1),
+                // Gather ends, release mark, wakeup begins.
+                SimEvent::TransferRelease {
+                    at: t(40),
+                    transfer: 1,
+                },
+                serve_start(t(46), 1),
+                issued(t(47), 1, false, true, false),
+                served(t(48), 1, false),
+                serve_start(t(48), 1),
+                served(t(49), 1, true),
+            ],
+        );
         let buf = tr.into_buffer(t(50));
         buf.validate().expect("trace must validate");
         let json = buf.to_chrome_json();
@@ -650,17 +718,23 @@ mod tests {
     #[test]
     fn chip_activity_spans_close_in_order() {
         let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]);
-        tr.chip_activity(0, t(0), ChipActivity::IdleOther);
-        tr.chip_activity(0, t(2), ChipActivity::Serving);
-        tr.chip_activity(0, t(3), ChipActivity::IdleDma);
-        tr.chip_activity(0, t(5), ChipActivity::LowPower);
-        let ev = TransitionEvent {
-            at: t(4),
-            from: PowerMode::Active,
-            to: PowerMode::Nap,
-            latency: SimDuration::from_ns(225),
-        };
-        tr.transition(0, &ev); // late-drained: clamps to t(5)
+        feed(
+            &mut tr,
+            &[
+                activity(t(0), 0, ChipActivity::IdleOther),
+                activity(t(2), 0, ChipActivity::Serving),
+                activity(t(3), 0, ChipActivity::IdleDma),
+                SimEvent::ModeTransition {
+                    at: t(4),
+                    chip: 0,
+                    from: PowerMode::Active,
+                    to: PowerMode::Nap,
+                    latency: SimDuration::from_ns(225),
+                },
+                activity(t(4), 0, ChipActivity::Transitioning),
+                activity(t(5), 0, ChipActivity::LowPower),
+            ],
+        );
         let buf = tr.into_buffer(t(6));
         let stats = buf.validate().expect("chip track must stay LIFO-valid");
         assert_eq!(stats.open, 0);
@@ -671,11 +745,16 @@ mod tests {
     #[test]
     fn out_of_range_ids_are_ignored() {
         let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]);
-        tr.transfer_started(1, 99, t(1)); // bad bus: dropped
-        tr.issued(1, true, false, true, t(2)); // unknown tid: dropped
-        tr.serve_start(1, t(3));
-        tr.serve_done(1, true, t(4));
-        tr.chip_activity(42, t(1), ChipActivity::Serving);
+        feed(
+            &mut tr,
+            &[
+                started(t(1), 1, 99),               // bad bus: dropped
+                issued(t(2), 1, true, false, true), // unknown tid: dropped
+                serve_start(t(3), 1),
+                served(t(4), 1, true),
+                activity(t(4), 42, ChipActivity::Serving),
+            ],
+        );
         let buf = tr.into_buffer(t(5));
         let stats = buf.validate().expect("empty trace is valid");
         assert_eq!(stats.spans, 0);

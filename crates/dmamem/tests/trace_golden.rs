@@ -9,7 +9,8 @@
 
 use dmamem::timeline::ChipActivity;
 use dmamem::tracing::Tracer;
-use mempower::{PowerMode, TransitionEvent};
+use dmamem::SimEvent;
+use mempower::PowerMode;
 use simcore::obs::json::{parse, JsonValue};
 use simcore::{SimDuration, SimTime};
 
@@ -17,37 +18,85 @@ fn t(us: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_us(us)
 }
 
-/// The scripted scenario. Kept deliberately tiny so the golden file
-/// stays reviewable in a diff.
+fn activity(at: SimTime, activity: ChipActivity) -> SimEvent {
+    SimEvent::Activity {
+        at,
+        chip: 0,
+        activity,
+    }
+}
+
+fn issued(at: SimTime, is_first: bool, is_last: bool) -> SimEvent {
+    SimEvent::RequestIssued {
+        at,
+        transfer: 9,
+        is_first,
+        is_last,
+        wake_pending: false,
+    }
+}
+
+fn served(at: SimTime, is_last: bool) -> SimEvent {
+    SimEvent::RequestServed {
+        at,
+        transfer: 9,
+        is_last,
+        service: SimDuration::from_us(1),
+    }
+}
+
+/// The scripted scenario, fed through the tracer's one entry point.
+/// Kept deliberately tiny so the golden file stays reviewable in a diff.
 fn scripted_trace() -> String {
     let mut tr = Tracer::new(1 << 10, 2, 1, [300.0, 180.0, 30.0, 3.0]);
-
-    // Chip 0 dozes while transfer 9 arrives on bus 0 and is gathered.
-    tr.chip_activity(0, t(0), ChipActivity::LowPower);
-    tr.transfer_started(9, 0, t(1));
-    tr.issued(9, true, false, false, t(1)); // first request parks in the gather queue
-    tr.gathered(9, t(1));
-
-    // CP-Limit reached: release the gathered transfer, wake the chip.
-    tr.transition(
-        0,
-        &TransitionEvent {
+    let script = [
+        // Chip 0 dozes while transfer 9 arrives on bus 0 and is gathered.
+        activity(t(0), ChipActivity::LowPower),
+        SimEvent::TransferStart {
+            at: t(1),
+            transfer: 9,
+            bus: 0,
+        },
+        issued(t(1), true, false), // first request parks in the gather queue
+        SimEvent::TaGather {
+            at: t(1),
+            chip: 0,
+            pending: 1,
+            transfer: 9,
+        },
+        // CP-Limit reached: release the gathered transfer, wake the chip.
+        SimEvent::ModeTransition {
             at: t(3),
+            chip: 0,
             from: PowerMode::Nap,
             to: PowerMode::Active,
             latency: SimDuration::from_us(1),
         },
-    );
-    tr.chip_activity(0, t(3), ChipActivity::Transitioning);
-    tr.released(9, t(3)); // release mark + wakeup span
-    tr.chip_activity(0, t(4), ChipActivity::Serving);
-    tr.serve_start(9, t(4)); // wakeup over, lockstep service begins
-    tr.serve_done(9, false, t(6)); // bus caught up -> active-idle gap
-    tr.issued(9, false, true, false, t(7));
-    tr.serve_start(9, t(7)); // last request issued -> drain phase
-    tr.serve_done(9, true, t(8)); // transfer completes, root closes
-
-    tr.chip_activity(0, t(8), ChipActivity::IdleDma);
+        activity(t(3), ChipActivity::Transitioning),
+        // Release mark + wakeup span.
+        SimEvent::TransferRelease {
+            at: t(3),
+            transfer: 9,
+        },
+        activity(t(4), ChipActivity::Serving),
+        // Wakeup over, lockstep service begins.
+        SimEvent::ServeStart {
+            at: t(4),
+            transfer: 9,
+        },
+        served(t(6), false), // bus caught up -> active-idle gap
+        issued(t(7), false, true),
+        // Last request issued -> drain phase.
+        SimEvent::ServeStart {
+            at: t(7),
+            transfer: 9,
+        },
+        served(t(8), true), // transfer completes, root closes
+        activity(t(8), ChipActivity::IdleDma),
+    ];
+    for ev in &script {
+        tr.on(ev);
+    }
     tr.into_buffer(t(10)).to_chrome_json()
 }
 

@@ -95,20 +95,6 @@ impl ModeResidency {
     }
 }
 
-/// One recorded power-mode transition (see
-/// [`Chip::enable_transition_log`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransitionEvent {
-    /// When the transition began.
-    pub at: SimTime,
-    /// Mode being left.
-    pub from: PowerMode,
-    /// Mode being entered.
-    pub to: PowerMode,
-    /// Transition latency.
-    pub latency: SimDuration,
-}
-
 /// One memory chip: power mode, service occupancy, and energy ledger.
 ///
 /// # Example
@@ -137,7 +123,6 @@ pub struct Chip {
     last_activity: SimTime,
     services: u64,
     wakes: u64,
-    transition_log: Option<Vec<TransitionEvent>>,
 }
 
 impl Chip {
@@ -156,40 +141,6 @@ impl Chip {
             last_activity: SimTime::ZERO,
             services: 0,
             wakes: 0,
-            transition_log: None,
-        }
-    }
-
-    /// Starts recording every power-mode transition this chip begins; the
-    /// driver drains them with [`Chip::take_transition_events`]. Off by
-    /// default (the log grows unboundedly if never drained).
-    pub fn enable_transition_log(&mut self) {
-        self.transition_log = Some(Vec::new());
-    }
-
-    /// Drains the recorded transitions (empty unless
-    /// [`Chip::enable_transition_log`] was called).
-    pub fn take_transition_events(&mut self) -> Vec<TransitionEvent> {
-        match &mut self.transition_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    fn log_transition(
-        &mut self,
-        at: SimTime,
-        from: PowerMode,
-        to: PowerMode,
-        latency: SimDuration,
-    ) {
-        if let Some(log) = &mut self.transition_log {
-            log.push(TransitionEvent {
-                at,
-                from,
-                to,
-                latency,
-            });
         }
     }
 
@@ -384,10 +335,8 @@ impl Chip {
             self.id,
             self.busy_until
         );
-        let latency = self.model.down(to).latency;
-        let until = now + latency;
+        let until = now + self.model.down(to).latency;
         self.phase = ChipPhase::GoingDown { to, until };
-        self.log_transition(now, current, to, latency);
         until
     }
 
@@ -407,11 +356,9 @@ impl Chip {
                 self.id, self.phase
             ),
         };
-        let latency = self.model.wake(from).latency;
-        let until = now + latency;
+        let until = now + self.model.wake(from).latency;
         self.phase = ChipPhase::Waking { from, until };
         self.wakes += 1;
-        self.log_transition(now, from, PowerMode::Active, latency);
         until
     }
 
@@ -607,33 +554,6 @@ mod tests {
     fn unbalanced_dma_end_panics() {
         let mut c = Chip::new(0, PowerModel::rdram());
         c.dma_transfer_ended(at(0));
-    }
-
-    #[test]
-    fn transition_log_records_sleep_and_wake() {
-        let model = PowerModel::rdram();
-        let mut c = Chip::new(0, model.clone());
-        assert!(c.take_transition_events().is_empty());
-        c.enable_transition_log();
-        let down = c.begin_sleep(at(0), PowerMode::Nap);
-        c.complete_transition(down);
-        let wake = c.begin_wake(at(1000));
-        c.complete_transition(wake);
-        let events = c.take_transition_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[0],
-            TransitionEvent {
-                at: at(0),
-                from: PowerMode::Active,
-                to: PowerMode::Nap,
-                latency: model.down(PowerMode::Nap).latency,
-            }
-        );
-        assert_eq!(events[1].to, PowerMode::Active);
-        assert_eq!(events[1].latency, model.wake(PowerMode::Nap).latency);
-        // Draining empties the log.
-        assert!(c.take_transition_events().is_empty());
     }
 
     #[test]

@@ -38,6 +38,7 @@ const FIGURE_FIELDS: &[&str] = &[
     "max_heap_depth",
     "transfers",
     "requests",
+    "batched_requests",
     "sims",
     "memo_hits",
     "memo_misses",
@@ -53,6 +54,7 @@ const TOTALS_FIELDS: &[&str] = &[
     "max_heap_depth",
     "transfers",
     "requests",
+    "batched_requests",
     "sims",
 ];
 
@@ -402,10 +404,11 @@ mod tests {
             "{{\"bench\": \"engine\", \"queue_kind\": \"{q}\", \"trace_ms\": 2, \
              \"seed\": {seed},\n\"figures\": [\n  {{\"figure\": \"fig5\", \"events\": {events}, \
              \"heap_pushes\": 1005, \"heap_pops\": 1000, \"max_heap_depth\": 17, \
-             \"transfers\": 9, \"requests\": 640, \"sims\": 2, \"memo_hits\": 3, \
+             \"transfers\": 9, \"requests\": 640, \"batched_requests\": 600, \"sims\": 2, \"memo_hits\": 3, \
              \"memo_misses\": 2, \"trace_hits\": 1, \"trace_misses\": 1}}\n],\n\
              \"totals\": {{\"events\": {events}, \"heap_pushes\": 1005, \"heap_pops\": 1000, \
-             \"max_heap_depth\": 17, \"transfers\": 9, \"requests\": 640, \"sims\": 2}},\n\
+             \"max_heap_depth\": 17, \"transfers\": 9, \"requests\": 640, \"batched_requests\": 600, \
+             \"sims\": 2}},\n\
              \"phases\": [\n  {{\"phase\": \"dispatch\", \"calls\": 1000}}\n]}}",
             q = dmamem::ENGINE_QUEUE_KIND
         )
@@ -429,10 +432,10 @@ mod tests {
         let r = engine("1000", 42);
         let d = gate(&r, &r).unwrap();
         assert!(d.failures().is_empty());
-        // 11 per-figure fields + 7 totals + 1 phase.
-        assert_eq!(d.entries.len(), 19);
+        // 12 per-figure fields + 8 totals + 1 phase.
+        assert_eq!(d.entries.len(), 21);
         assert!(d.entries.iter().all(|e| e.policy == Policy::Exact));
-        assert!(d.render().contains("19 of 19 fields within policy"));
+        assert!(d.render().contains("21 of 21 fields within policy"));
     }
 
     #[test]

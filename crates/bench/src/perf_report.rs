@@ -2,8 +2,8 @@
 //!
 //! An [`EngineReport`] collects the per-figure [`FigTime`] accounting of
 //! a [`SweepRunner`] — deterministic engine counters (events dispatched,
-//! heap ops, max calendar depth, transfers/requests allocated, memo and
-//! trace-cache hits, per-phase calls) — and renders it as the
+//! heap ops, max calendar depth, transfers/requests allocated, requests
+//! booked by train batches, memo and trace-cache hits, per-phase calls) — and renders it as the
 //! `BENCH_engine.json` baseline that [`crate::baseline_diff`] compares
 //! exactly. The report carries counters only: host time is measured from
 //! outside the engine, by the `benchmark/` harness.
@@ -58,8 +58,8 @@ impl EngineReport {
             out.push_str(&format!(
                 "    {{\"figure\": \"{}\", \"events\": {}, \"heap_pushes\": {}, \
                  \"heap_pops\": {}, \"max_heap_depth\": {}, \"transfers\": {}, \
-                 \"requests\": {}, \"sims\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
-                 \"trace_hits\": {}, \"trace_misses\": {}}}{}\n",
+                 \"requests\": {}, \"batched_requests\": {}, \"sims\": {}, \"memo_hits\": {}, \
+                 \"memo_misses\": {}, \"trace_hits\": {}, \"trace_misses\": {}}}{}\n",
                 r.figure,
                 r.prof.events,
                 r.prof.heap_pushes,
@@ -67,6 +67,7 @@ impl EngineReport {
                 r.prof.max_heap_depth,
                 r.prof.transfers,
                 r.prof.requests,
+                r.prof.batched_requests,
                 r.prof.sims,
                 r.memo_hits,
                 r.memo_misses,
@@ -78,13 +79,15 @@ impl EngineReport {
         out.push_str("  ],\n");
         out.push_str(&format!(
             "  \"totals\": {{\"events\": {}, \"heap_pushes\": {}, \"heap_pops\": {}, \
-             \"max_heap_depth\": {}, \"transfers\": {}, \"requests\": {}, \"sims\": {}}},\n",
+             \"max_heap_depth\": {}, \"transfers\": {}, \"requests\": {}, \
+             \"batched_requests\": {}, \"sims\": {}}},\n",
             self.totals.events,
             self.totals.heap_pushes,
             self.totals.heap_pops,
             self.totals.max_heap_depth,
             self.totals.transfers,
             self.totals.requests,
+            self.totals.batched_requests,
             self.totals.sims,
         ));
         out.push_str("  \"phases\": [\n");
@@ -115,6 +118,7 @@ mod tests {
             max_heap_depth: 17,
             transfers: 9,
             requests: 640,
+            batched_requests: 600,
             phase_calls: [1000, 0, 0, 2],
         };
         let report = EngineReport {

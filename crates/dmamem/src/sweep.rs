@@ -149,6 +149,8 @@ pub struct ProfTotals {
     pub transfers: u64,
     /// Chip-level DMA-memory requests allocated across all runs.
     pub requests: u64,
+    /// Requests booked in bulk by periodic train batches across all runs.
+    pub batched_requests: u64,
     /// Per-phase call counts, indexed in [`Phase::ALL`] order.
     pub phase_calls: [u64; 4],
 }
@@ -168,6 +170,7 @@ impl ProfTotals {
             max_heap_depth: self.max_heap_depth,
             transfers: self.transfers - earlier.transfers,
             requests: self.requests - earlier.requests,
+            batched_requests: self.batched_requests - earlier.batched_requests,
             phase_calls: sub4(self.phase_calls, earlier.phase_calls),
         }
     }
@@ -186,6 +189,7 @@ struct ProfAccum {
     depth_window_max: AtomicU64,
     transfers: AtomicU64,
     requests: AtomicU64,
+    batched_requests: AtomicU64,
     phase_calls: [AtomicU64; 4],
 }
 
@@ -201,6 +205,8 @@ impl ProfAccum {
             .fetch_max(p.max_heap_depth, Ordering::Relaxed);
         self.transfers.fetch_add(p.transfers, Ordering::Relaxed);
         self.requests.fetch_add(p.requests, Ordering::Relaxed);
+        self.batched_requests
+            .fetch_add(p.batched_requests, Ordering::Relaxed);
         for (calls, phase) in self.phase_calls.iter().zip(Phase::ALL) {
             calls.fetch_add(p.phases.get(phase).calls, Ordering::Relaxed);
         }
@@ -215,6 +221,7 @@ impl ProfAccum {
             max_heap_depth: self.depth_max.load(Ordering::Relaxed),
             transfers: self.transfers.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
+            batched_requests: self.batched_requests.load(Ordering::Relaxed),
             phase_calls: self
                 .phase_calls
                 .each_ref()

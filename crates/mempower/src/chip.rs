@@ -184,6 +184,12 @@ impl Chip {
         self.busy_until
     }
 
+    /// Instant energy has been accrued up to (the last state change or
+    /// [`Chip::sync`]).
+    pub fn last_accrual(&self) -> SimTime {
+        self.last_accrual
+    }
+
     /// Instant of the most recent service completion or wake-up — the
     /// reference point for the low-level policy's idleness thresholds.
     pub fn last_activity(&self) -> SimTime {

@@ -129,6 +129,9 @@ pub struct EngineProfile {
     pub transfers: u64,
     /// Chip-level DMA-memory requests allocated.
     pub requests: u64,
+    /// Requests an engine booked in bulk instead of dispatching their
+    /// events one by one (a share of `requests`).
+    pub batched_requests: u64,
     /// Per-phase call counts.
     pub phases: PhaseProfile,
 }
@@ -143,6 +146,7 @@ impl EngineProfile {
         self.max_heap_depth = self.max_heap_depth.max(other.max_heap_depth);
         self.transfers += other.transfers;
         self.requests += other.requests;
+        self.batched_requests += other.batched_requests;
         self.phases.merge(&other.phases);
     }
 }
@@ -183,6 +187,7 @@ mod tests {
             max_heap_depth: 5,
             transfers: 3,
             requests: 24,
+            batched_requests: 10,
             phases: PhaseProfile::default(),
         };
         let b = EngineProfile {
@@ -195,5 +200,6 @@ mod tests {
         assert_eq!(total.heap_pushes, 24);
         assert_eq!(total.max_heap_depth, 5);
         assert_eq!(total.requests, 48);
+        assert_eq!(total.batched_requests, 20);
     }
 }

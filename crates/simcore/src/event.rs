@@ -585,6 +585,19 @@ impl<E> EventQueue<E> {
         best.map(|e| (e.time, e.seq, &e.event))
     }
 
+    /// Every pending event with its time, in no particular order.
+    ///
+    /// For engines that need a bound over the whole pending set (the
+    /// earliest event of some kind), not just the head. Costs one pass
+    /// over the pending entries.
+    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.fast
+            .iter()
+            .chain(self.arena.iter().map(|node| &node.entry))
+            .chain(self.overflow.iter())
+            .map(|e| (e.time, &e.event))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.fast.is_some() as usize + self.wheel_len + self.overflow.len()
@@ -690,6 +703,19 @@ mod tests {
         assert_eq!(q.peek_time(), Some(at(3)));
         q.clear();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pending_lists_fast_slot_wheel_and_overflow() {
+        let mut q = EventQueue::new();
+        // Fast slot, two wheel buckets, and one entry past the horizon.
+        for (ns, e) in [(1, 'a'), (2, 'b'), (900, 'c'), (5_000_000, 'd')] {
+            q.schedule(at(ns), e);
+        }
+        assert_eq!(q.pop(), Some((at(1), 'a')));
+        let mut seen: Vec<(SimTime, char)> = q.pending().map(|(t, &e)| (t, e)).collect();
+        seen.sort();
+        assert_eq!(seen, [(at(2), 'b'), (at(900), 'c'), (at(5_000_000), 'd')]);
     }
 
     #[test]

@@ -162,6 +162,14 @@ impl<T> Slab<T> {
         self.len == 0
     }
 
+    /// The live records, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|slot| match slot {
+            Slot::Full(value) => Some(value),
+            Slot::Free(_) => None,
+        })
+    }
+
     /// Total slots ever allocated (live + free): the arena's footprint.
     pub fn capacity_used(&self) -> usize {
         self.slots.len()
@@ -225,6 +233,14 @@ mod tests {
         assert_eq!(slab.len(), 1);
         assert!(slab.get(a).is_none());
         assert_eq!(slab[b], 20);
+    }
+
+    #[test]
+    fn iter_visits_live_records_only() {
+        let mut slab = Slab::new();
+        let keys: Vec<u32> = (0..4).map(|i| slab.insert(i)).collect();
+        slab.remove(keys[1]);
+        assert_eq!(slab.iter().copied().collect::<Vec<_>>(), [0, 2, 3]);
     }
 
     #[test]

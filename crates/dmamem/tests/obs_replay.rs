@@ -9,7 +9,7 @@ use dmamem::experiments::{mu_from_baseline, paper_system, Workload};
 use dmamem::{replay_slack, Scheme, ServerSimulator, SimEvent, SimResult, SystemConfig};
 use mempower::PowerMode;
 use proptest::prelude::*;
-use simcore::obs::SpillSink;
+use simcore::obs::{SpillSink, TraceStats};
 use simcore::{SimDuration, SimTime};
 
 /// Runs `workload` under DMA-TA (optionally with PL) with the event sink
@@ -231,6 +231,54 @@ fn engine_exports_match_pinned_digests() {
 const PINNED_EVENTS: u64 = 0xfc72_eea2_7cdf_f028;
 const PINNED_METRICS: u64 = 0xf03a_0d1b_27f4_df8b;
 const PINNED_TRACE: u64 = 0x2e28_055c_d842_03e7;
+
+/// Pins the span ring past its capacity, where the full-size run above
+/// cannot reach: the export of a ring that dropped its oldest records,
+/// the streamed bytes of a ring that spilled them, and both rings'
+/// span-tree statistics.
+#[test]
+fn overflowed_and_spilled_rings_match_pinned_digests() {
+    let (sim, trace) = pinned_sim();
+    let dropped = sim.clone().with_tracing(1 << 12, None).run(&trace);
+    let dropped = dropped.trace.expect("tracing requested");
+    assert!(dropped.dropped() > 0, "the small ring must overflow");
+
+    let (sink, bytes) = SpillSink::memory();
+    let spilled = sim.with_tracing(1 << 10, Some(sink)).run(&trace);
+    let mut spilled = spilled.trace.expect("tracing requested");
+    spilled.finalize_spill();
+    assert_eq!(spilled.dropped(), 0, "spill lost records");
+    let spilled_bytes = bytes.lock().expect("spill buffer").clone();
+
+    let got = [
+        fnv1a64(dropped.to_chrome_json().as_bytes()),
+        fnv1a64(&spilled_bytes),
+    ];
+    assert_eq!(
+        got,
+        [PINNED_DROPPED_TRACE, PINNED_SPILL],
+        "[dropped ring, spill] digests changed: {got:#018x?}"
+    );
+    let stats = [dropped.validate(), spilled.validate()].map(|s| s.expect("valid span tree"));
+    assert_eq!(stats, [PINNED_DROPPED_STATS, PINNED_SPILL_STATS]);
+    assert_eq!(spilled.spilled(), PINNED_SPILLED);
+}
+
+const PINNED_DROPPED_TRACE: u64 = 0x24da_3a5a_66fc_2c09;
+const PINNED_SPILL: u64 = 0x13b9_8627_a1b7_56d9;
+const PINNED_DROPPED_STATS: TraceStats = TraceStats {
+    records: 4096,
+    spans: 2030,
+    open: 0,
+    dropped: 490_056,
+};
+const PINNED_SPILL_STATS: TraceStats = TraceStats {
+    records: 1024,
+    spans: 494,
+    open: 0,
+    dropped: 0,
+};
+const PINNED_SPILLED: u64 = 494_152;
 
 /// The consumers share one stream and do not perturb each other: with
 /// the event log, metrics, timeline and a spilling tracer attached

@@ -30,6 +30,10 @@ pub const ATTRIBUTION_TOLERANCE: f64 = 0.02;
 /// number type) no longer represents every integer, so equality would lie.
 const MAX_COUNTER: f64 = 9_007_199_254_740_992.0;
 
+/// The queue kind of reports recorded before the `queue_kind` field
+/// existed: they were all recorded on the binary-heap queue.
+const LEGACY_QUEUE_KIND: &str = "binary-heap-v1";
+
 /// Per-figure engine counters.
 const FIGURE_FIELDS: &[&str] = &[
     "events",
@@ -241,12 +245,10 @@ fn parse_engine(label: &str, v: &JsonValue) -> Result<(Kind, Vec<Row>), String> 
             .map(str::to_string)
             .ok_or_else(|| format!("{label}: {key} {i} missing `{key}`"))
     };
-    // Reports recorded before the queue-kind schema existed omit the
-    // field; they were all recorded on the binary-heap queue.
     let queue_kind = v
         .get("queue_kind")
         .and_then(JsonValue::as_str)
-        .unwrap_or(simcore::HEAP_QUEUE_KIND)
+        .unwrap_or(LEGACY_QUEUE_KIND)
         .to_string();
     let trace_ms = v
         .get("trace_ms")
@@ -499,7 +501,7 @@ mod tests {
         // A report without the field reads as the legacy heap kind; a
         // wheel-only report predates the request-train lane.
         for (old, old_kind) in [
-            (current.replace(&kind, ""), simcore::HEAP_QUEUE_KIND),
+            (current.replace(&kind, ""), LEGACY_QUEUE_KIND),
             (
                 current.replace(
                     &kind,

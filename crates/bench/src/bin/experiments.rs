@@ -5,7 +5,8 @@
 //! ```
 //!
 //! `EXHIBIT` is one of `table1 table2 fig2a fig2b fig3 fig4 fig5 fig6 fig7
-//! fig8 fig9 fig10 groups all` (default `all`). `--ms` sets the simulated
+//! fig8 fig9 fig10 groups all` (default `all`), or `ablations`, the design
+//! ablations on Synthetic-St, which `all` leaves out. `--ms` sets the simulated
 //! trace length per run (default 50), `--seed` the workload seed (default
 //! 42), and `--csv DIR` additionally writes each figure's data as CSV files
 //! into `DIR` for replotting.
@@ -324,6 +325,28 @@ fn main() -> ExitCode {
         }
         println!("(paper Figure 5: K = 2 best; K = 6 pays heavy migration churn, e.g. -15.2% on OLTP-St)");
     }
+    if exhibit == "ablations" {
+        matched = true;
+        section("Ablations: design sensitivities (Synthetic-St)");
+        for ablation in runner.timed("ablations", |ctx| experiments::ablations_ctx(ctx, exp)) {
+            println!("--- {} ---", ablation.title);
+            for row in &ablation.rows {
+                let r = &row.result;
+                print!(
+                    "  {:<18} {:>8.3} mJ  uf {:.3}  request {:>7.1} ns  {:>3} moves",
+                    row.label,
+                    r.energy.total_mj(),
+                    r.utilization_factor(),
+                    r.request_service.mean_ns(),
+                    r.page_moves
+                );
+                match row.mu {
+                    Some(mu) => println!("  savings {:+.1}% (mu {mu:.2})", row.savings * 100.0),
+                    None => println!(),
+                }
+            }
+        }
+    }
 
     if events_out.is_some() || metrics_out.is_some() || obs_summary {
         matched = true;
@@ -490,7 +513,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: experiments [table1|table2|fig2a|fig2b|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|groups|tpch|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--prof-out FILE] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--trace-spill N] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]"
+        "usage: experiments [table1|table2|fig2a|fig2b|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|groups|tpch|ablations|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--prof-out FILE] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--trace-spill N] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -1,5 +1,5 @@
-//! Benchmark-harness support: table formatting shared by the
-//! `experiments` binary and the Criterion benches.
+//! Benchmark-harness support: table formatting for the `experiments`
+//! binary.
 //!
 //! Every table and figure of the paper's evaluation section has a
 //! corresponding renderer here; the underlying data comes from
@@ -9,9 +9,7 @@
 //! [`baseline_diff`] gates deterministic artifacts against their
 //! committed baselines.
 
-use dmamem::experiments::{
-    self, ExpConfig, Fig10Row, Fig5Row, Fig7Row, Fig8Row, Fig9Row, Workload,
-};
+use dmamem::experiments::{self, Fig10Row, Fig5Row, Fig7Row, Fig8Row, Fig9Row, Workload};
 use mempower::{EnergyBreakdown, EnergyCategory};
 
 pub mod baseline_diff;
@@ -113,11 +111,6 @@ pub fn fig4_table(points: &[(f64, f64)]) -> String {
         out.push_str(&format!("{:>5.0}%  {:>8.1}%\n", x * 100.0, y * 100.0));
     }
     out
-}
-
-/// Renders Table 2 trace characteristics.
-pub fn table2_text(exp: ExpConfig) -> String {
-    table2_rows_text(&experiments::table2(exp))
 }
 
 /// Renders already-computed Table 2 rows (see
@@ -235,11 +228,12 @@ pub const ALL_WORKLOADS: [Workload; 4] = Workload::ALL;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmamem::experiments::ExpConfig;
 
     #[test]
     fn tables_render_without_panicking() {
         let exp = ExpConfig::quick();
-        assert!(table2_text(exp).contains("OLTP-St"));
+        assert!(table2_rows_text(&experiments::table2(exp)).contains("OLTP-St"));
         let rows = experiments::fig5(exp, &[Workload::SyntheticSt], &[0.10]);
         let t = fig5_table(&rows);
         assert!(t.contains("DMA-TA-PL(2)"));

@@ -2,7 +2,7 @@
 //!
 //! Each function regenerates the data behind a specific exhibit of the
 //! paper (Section 5) and returns it as plain rows, so the `bench` crate can
-//! print tables and Criterion benches can time the underlying simulations.
+//! print tables.
 //!
 //! Every simulation-heavy runner comes in two forms: `figN(exp, ...)`, the
 //! original serial entry point, and `figN_ctx(&SweepCtx, exp, ...)`, which
@@ -10,7 +10,8 @@
 //! generated once and shared, baselines repeated across figures are
 //! memoized, and independent runs execute in parallel. The serial form
 //! delegates to a fresh single-threaded context, so both produce
-//! bit-identical rows.
+//! bit-identical rows. The design ablations ([`ablations_ctx`]) come in
+//! the context form only.
 //!
 //! | exhibit | runner |
 //! |---|---|
@@ -31,12 +32,14 @@ use dma_trace::{
     OltpDbGen, OltpStGen, SyntheticDbGen, SyntheticStorageGen, TpchScanGen, Trace, TraceGen,
     TraceStats,
 };
-use iobus::BusConfig;
+use std::sync::Arc;
+
+use iobus::{BusConfig, BusDiscipline};
 use mempower::{EnergyBreakdown, PowerMode, PowerModel};
 use simcore::obs::SpillSink;
 use simcore::SimDuration;
 
-use crate::config::{Scheme, SystemConfig};
+use crate::config::{PlConfig, PolicyKind, Scheme, SystemConfig, TaConfig};
 use crate::metrics::SimResult;
 use crate::sweep::{SharedTrace, SimJob, SweepCtx};
 use crate::system::ServerSimulator;
@@ -60,7 +63,7 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// A fast configuration for smoke tests and Criterion benches.
+    /// A fast configuration for smoke tests.
     pub fn quick() -> Self {
         ExpConfig {
             duration: SimDuration::from_ms(2),
@@ -844,6 +847,195 @@ pub fn group_ablation_ctx(ctx: &SweepCtx, exp: ExpConfig, cp_limit: f64) -> Vec<
 }
 
 // ---------------------------------------------------------------------
+// Design ablations
+
+/// One row of an [`Ablation`]: a Synthetic-St run under one setting.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// The setting, e.g. `dynamic x0.5` or `gate >= 8`.
+    pub label: String,
+    /// For a DMA-TA or DMA-TA-PL row, the `mu` derived from the row
+    /// configuration's own baseline at 10 % CP-Limit; `None` for a
+    /// baseline row.
+    pub mu: Option<f64>,
+    /// Energy savings versus the row configuration's baseline (0 for a
+    /// baseline row).
+    pub savings: f64,
+    /// The run.
+    pub result: Arc<SimResult>,
+}
+
+/// One design ablation: a parameter swept over a few settings.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// What is swept, and what the rows measure.
+    pub title: &'static str,
+    /// One row per setting, in sweep order.
+    pub rows: Vec<AblationRow>,
+}
+
+/// The design ablations DESIGN.md cites, on Synthetic-St: low-level
+/// policy thresholds, DMA-TA epoch length, DMA request size, bus
+/// discipline, static versus dynamic low-level policy, the PL hot-traffic
+/// target `p`, the migration cost-benefit gate and the migration chunk
+/// size.
+///
+/// Each ablation runs its configurations' baselines, then its settings
+/// as one batch; scheme settings run at the `mu` their configuration's
+/// baseline gives at 10 % CP-Limit. Baselines shared between ablations
+/// come from the context's memo.
+pub fn ablations_ctx(ctx: &SweepCtx, exp: ExpConfig) -> Vec<Ablation> {
+    let trace = Workload::SyntheticSt.shared_trace(ctx, exp);
+    let extra = Workload::SyntheticSt.client_extra_latency();
+    // A setting runs `scheme` on `config`; a scheme's `mu` is filled in
+    // from the configuration's baseline.
+    let ablate = |title: &'static str, settings: Vec<(String, SystemConfig, Scheme)>| {
+        let baselines = ctx.run_batch(
+            settings
+                .iter()
+                .map(|(_, config, _)| {
+                    SimJob::new(config.clone(), Scheme::baseline(), trace.clone())
+                })
+                .collect(),
+        );
+        let mut mus = Vec::new();
+        let mut jobs = Vec::new();
+        for ((_, config, scheme), baseline) in settings.iter().zip(&baselines) {
+            let mut scheme = *scheme;
+            let mu = scheme.ta.as_mut().map(|ta| {
+                ta.mu = mu_from_baseline(config, baseline, 0.10, extra);
+                ta.mu
+            });
+            mus.push(mu);
+            jobs.push(SimJob::new(config.clone(), scheme, trace.clone()));
+        }
+        let rows = settings
+            .into_iter()
+            .zip(mus)
+            .zip(baselines.iter().zip(ctx.run_batch(jobs)))
+            .map(|(((label, _, _), mu), (baseline, result))| AblationRow {
+                label,
+                mu,
+                savings: result.savings_vs(baseline),
+                result,
+            })
+            .collect();
+        Ablation { title, rows }
+    };
+    let base = Scheme::baseline();
+    let ta = |ta: TaConfig| Scheme {
+        ta: Some(ta),
+        pl: None,
+    };
+    let tapl = |pl: PlConfig| Scheme {
+        ta: Some(TaConfig::new(0.0)),
+        pl: Some(pl),
+    };
+    let with_policy = |policy: PolicyKind| SystemConfig {
+        policy,
+        ..paper_system()
+    };
+    let with_bus = |bus: BusConfig| paper_system().with_buses(3, bus);
+    vec![
+        ablate(
+            "low-level policy thresholds (baseline energy)",
+            [
+                ("dynamic x0.5", PolicyKind::Dynamic { scale: 0.5 }),
+                ("dynamic x1.0", PolicyKind::Dynamic { scale: 1.0 }),
+                ("dynamic x2.0", PolicyKind::Dynamic { scale: 2.0 }),
+                ("self-tuning", PolicyKind::SelfTuning),
+            ]
+            .map(|(label, p)| (label.to_string(), with_policy(p), base))
+            .to_vec(),
+        ),
+        ablate(
+            "DMA-TA epoch length (savings at 10% CP)",
+            [1u64, 5, 20]
+                .map(|us| {
+                    let epoch = SimDuration::from_us(us);
+                    let scheme = ta(TaConfig {
+                        epoch,
+                        ..TaConfig::new(0.0)
+                    });
+                    (format!("epoch {us:>2} us"), paper_system(), scheme)
+                })
+                .to_vec(),
+        ),
+        ablate(
+            "DMA-memory request size (baseline uf)",
+            [8u64, 64]
+                .map(|bytes| {
+                    let config = with_bus(BusConfig::pci_x().with_request_bytes(bytes));
+                    (format!("{bytes:>2}-byte requests"), config, base)
+                })
+                .to_vec(),
+        ),
+        ablate(
+            "bus discipline (baseline energy; DMA-TA savings at 10% CP)",
+            [
+                ("per-engine", BusDiscipline::PerEngine),
+                ("strict TDM", BusDiscipline::TimeDivision),
+            ]
+            .into_iter()
+            .flat_map(|(label, d)| {
+                let config = with_bus(BusConfig::pci_x().with_discipline(d));
+                [
+                    (label.to_string(), config.clone(), base),
+                    (format!("{label} DMA-TA"), config, ta(TaConfig::new(0.0))),
+                ]
+            })
+            .collect(),
+        ),
+        ablate(
+            "static vs dynamic low-level policy (baseline energy)",
+            [
+                ("static nap", PolicyKind::Static(PowerMode::Nap)),
+                ("static powerdown", PolicyKind::Static(PowerMode::Powerdown)),
+                ("dynamic", PolicyKind::Dynamic { scale: 1.0 }),
+            ]
+            .map(|(label, p)| (label.to_string(), with_policy(p), base))
+            .to_vec(),
+        ),
+        ablate(
+            "PL hot-traffic target p (DMA-TA-PL(2) savings at 10% CP)",
+            [0.4, 0.6, 0.8]
+                .map(|p| {
+                    let scheme = tapl(PlConfig {
+                        p,
+                        ..PlConfig::new(2)
+                    });
+                    (format!("p = {p:.1}"), paper_system(), scheme)
+                })
+                .to_vec(),
+        ),
+        ablate(
+            "migration cost-benefit gate (DMA-TA-PL(2) at 10% CP)",
+            [0u32, 2, 8]
+                .map(|gate| {
+                    let scheme = tapl(PlConfig {
+                        min_count_to_migrate: gate,
+                        ..PlConfig::new(2)
+                    });
+                    (format!("gate >= {gate}"), paper_system(), scheme)
+                })
+                .to_vec(),
+        ),
+        ablate(
+            "migration chunk size (Section 4.2.2 hiding; DMA-TA-PL(2) at 10% CP)",
+            [8192u64, 64, 8]
+                .map(|chunk| {
+                    let scheme = tapl(PlConfig {
+                        migration_chunk_bytes: chunk,
+                        ..PlConfig::new(2)
+                    });
+                    (format!("{chunk:>4}-byte chunks"), paper_system(), scheme)
+                })
+                .to_vec(),
+        ),
+    ]
+}
+
+// ---------------------------------------------------------------------
 // TPC-H extension (paper future work)
 
 /// One row of the TPC-H scan experiment.
@@ -1137,6 +1329,64 @@ mod tests {
             "K=6 moves {} <= K=2 moves {}",
             rows[2].page_moves,
             rows[0].page_moves
+        );
+    }
+
+    #[test]
+    fn ablations_show_the_sensitivities_design_cites() {
+        // 5 ms is one PL interval: the shortest trace on which every PL
+        // row migrates pages.
+        let ctx = SweepCtx::serial();
+        let exp = ExpConfig {
+            duration: SimDuration::from_ms(5),
+            seed: 42,
+        };
+        let ablations = ablations_ctx(&ctx, exp);
+        // Eight distinct baselines and eleven distinct scheme runs: every
+        // repeated baseline or setting comes from the memo.
+        assert_eq!(ctx.memo_stats().misses, 19);
+        let [thresholds, epoch, _, discipline, policy, pl_p, gate, chunk] = &ablations[..] else {
+            panic!("eight ablations, got {}", ablations.len())
+        };
+        let energy = |r: &AblationRow| r.result.energy.total_mj();
+        let service = |r: &AblationRow| r.result.request_service.mean_ns();
+
+        let dynamic = energy(&thresholds.rows[1]);
+        for r in &thresholds.rows {
+            let ratio = energy(r) / dynamic;
+            assert!(
+                (ratio - 1.0).abs() <= 0.10,
+                "{}: {ratio} x dynamic",
+                r.label
+            );
+        }
+        let savings: Vec<f64> = epoch.rows.iter().map(|r| r.savings).collect();
+        let spread = savings.iter().fold(f64::MIN, |a, &b| a.max(b))
+            - savings.iter().fold(f64::MAX, |a, &b| a.min(b));
+        assert!(spread <= 0.05, "epoch savings {savings:?}");
+        let [_, per_engine_ta, _, tdm_ta] = &discipline.rows[..] else {
+            panic!("two disciplines, baseline and DMA-TA each")
+        };
+        assert!(
+            tdm_ta.savings < per_engine_ta.savings,
+            "TDM {} vs per-engine {}",
+            tdm_ta.savings,
+            per_engine_ta.savings
+        );
+        let [_, powerdown, dynamic] = &policy.rows[..] else {
+            panic!("three low-level policies")
+        };
+        assert!(energy(powerdown) < energy(dynamic));
+        assert!(service(powerdown) > service(dynamic));
+        for r in pl_p.rows.iter().chain(&gate.rows).chain(&chunk.rows) {
+            assert!(r.result.page_moves > 0, "{} moved no pages", r.label);
+        }
+        let moves = |i: usize| gate.rows[i].result.page_moves;
+        assert!(
+            moves(2) < moves(0),
+            "gate 8: {} vs gate 0: {}",
+            moves(2),
+            moves(0)
         );
     }
 

@@ -1,21 +1,17 @@
 //! Deterministic future-event list.
 //!
-//! Two interchangeable implementations live here:
+//! [`EventQueue`] is a calendar (timing-wheel) queue with a one-entry
+//! fast slot and an overflow heap for far-future events, designed for
+//! the simulators' shallow, mostly-monotone schedules (calendar depth
+//! tops out in the low hundreds while pushes run to tens of millions).
 //!
-//! * [`EventQueue`] — the default: a calendar (timing-wheel) queue with a
-//!   one-entry fast slot and an overflow heap for far-future events.
-//!   Designed for the simulators' shallow, mostly-monotone schedules
-//!   (calendar depth tops out in the low hundreds while pushes run to
-//!   tens of millions).
-//! * [`HeapQueue`] — the reference `BinaryHeap` implementation the wheel
-//!   is proven against (`crates/simcore/tests/queue_equiv.rs` drives both
-//!   with identical interleavings and asserts identical pop sequences).
-//!
-//! Both pop in (time, then insertion-sequence) order. Because that order
+//! It pops in (time, then insertion-sequence) order. Because that order
 //! is **total** — no two entries ever share a `(time, seq)` key — any
-//! correct priority structure pops the exact same sequence, which is what
-//! makes the wheel a drop-in replacement: determinism does not depend on
-//! heap internals.
+//! correct priority structure pops the exact same sequence, so
+//! determinism does not depend on queue internals. The reference
+//! `BinaryHeap` queue in `crates/simcore/tests/support` is driven with
+//! identical interleavings by `tests/queue_equiv.rs`, which asserts
+//! identical pop sequences.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,10 +27,6 @@ use crate::SimTime;
 /// drift: queue-shape counters (pushes, pops, max depth) are only
 /// comparable between reports recorded under the same kind.
 pub const QUEUE_KIND: &str = "calendar-wheel-v1";
-
-/// The queue kind of [`HeapQueue`] (and of baselines recorded before the
-/// wheel existed, which omitted the field).
-pub const HEAP_QUEUE_KIND: &str = "binary-heap-v1";
 
 /// One scheduled entry: ordered by time, then by insertion sequence so that
 /// simultaneous events pop in FIFO order (determinism).
@@ -72,111 +64,6 @@ impl<E> Ord for Entry<E> {
             .time
             .cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The reference future-event list: a binary heap ordered by
-/// `(time, seq)`.
-///
-/// Kept as the oracle for the wheel's equivalence suite and the
-/// `queue` microbench; simulators use [`EventQueue`].
-#[derive(Default)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    stats: QueueStats,
-    window_max_depth: u64,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            stats: QueueStats::default(),
-            window_max_depth: 0,
-        }
-    }
-
-    /// The pop-order schema label of this implementation.
-    pub fn queue_kind(&self) -> &'static str {
-        HEAP_QUEUE_KIND
-    }
-
-    /// Schedules `event` to fire at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.stats.pushes += 1;
-        let depth = self.heap.len() as u64;
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        self.window_max_depth = self.window_max_depth.max(depth);
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = self.heap.pop().map(|e| (e.time, e.event));
-        if popped.is_some() {
-            self.stats.pops += 1;
-        }
-        popped
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// The `(time, seq)` key of the earliest pending event, if any.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(Entry::key)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events (lifetime counters kept; the depth
-    /// window resets — see [`HeapQueue::reset_window`]).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.window_max_depth = 0;
-    }
-
-    /// Lifetime push/pop/depth counters.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// High-water pending depth since the last [`reset_window`] (or
-    /// construction / [`clear`]).
-    ///
-    /// [`reset_window`]: HeapQueue::reset_window
-    /// [`clear`]: HeapQueue::clear
-    pub fn window_max_depth(&self) -> u64 {
-        self.window_max_depth
-    }
-
-    /// Starts a new depth window at the current depth.
-    pub fn reset_window(&mut self) {
-        self.window_max_depth = self.heap.len() as u64;
-    }
-}
-
-impl<E> std::fmt::Debug for HeapQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapQueue")
-            .field("len", &self.heap.len())
-            .field("next_time", &self.peek_time())
-            .finish()
     }
 }
 
@@ -227,7 +114,7 @@ impl MinPos {
 ///
 /// Events pop in nondecreasing time order; ties break in scheduling (FIFO)
 /// order, which keeps simulations deterministic regardless of queue
-/// internals. The pop sequence is provably identical to [`HeapQueue`]'s
+/// internals. The pop sequence is provably identical to a binary heap's
 /// because `(time, seq)` is a total order (see the module docs).
 ///
 /// Internally: a one-entry **fast slot** absorbs the schedule-then-pop
@@ -858,22 +745,5 @@ mod tests {
             assert_eq!(q.pop(), Some((t, e)));
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn queue_kinds_are_distinct_and_stable() {
-        let wheel: EventQueue<()> = EventQueue::new();
-        let heap: HeapQueue<()> = HeapQueue::new();
-        assert_eq!(wheel.queue_kind(), QUEUE_KIND);
-        assert_eq!(heap.queue_kind(), HEAP_QUEUE_KIND);
-        assert_ne!(wheel.queue_kind(), heap.queue_kind());
-    }
-
-    #[test]
-    fn debug_is_nonempty() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert!(!format!("{q:?}").is_empty());
-        let h: HeapQueue<()> = HeapQueue::new();
-        assert!(!format!("{h:?}").is_empty());
     }
 }

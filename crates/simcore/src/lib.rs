@@ -7,8 +7,7 @@
 //!   model (1600 MHz memory cycles, 133 MHz bus slots, microsecond disk
 //!   seeks) composes without rounding surprises.
 //! * [`EventQueue`] — a deterministic future-event list with stable FIFO
-//!   ordering among simultaneous events (a calendar/timing-wheel queue;
-//!   [`HeapQueue`] is the binary-heap reference it is proven against).
+//!   ordering among simultaneous events (a calendar/timing-wheel queue).
 //! * [`Slab`] — an index-stable arena with free-list reuse for the
 //!   record churn of long simulations (transfers, requests).
 //! * [`rng::DetRng`] — a seedable, deterministic random-number generator with
@@ -51,7 +50,7 @@ pub mod slab;
 pub mod stats;
 mod time;
 
-pub use event::{EventQueue, HeapQueue, HEAP_QUEUE_KIND, QUEUE_KIND};
+pub use event::{EventQueue, QUEUE_KIND};
 pub use prof::EngineProfile;
 pub use slab::Slab;
 pub use time::{SimDuration, SimTime};

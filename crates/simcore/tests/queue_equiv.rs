@@ -8,8 +8,11 @@
 //! total order, so any correct priority structure pops the same
 //! sequence; here we check the wheel actually is one.
 
+mod support;
+
 use proptest::prelude::*;
-use simcore::{EventQueue, HeapQueue, SimDuration, SimTime};
+use simcore::{EventQueue, SimDuration, SimTime, QUEUE_KIND};
+use support::{HeapQueue, HEAP_QUEUE_KIND};
 
 /// One step of a driver script.
 #[derive(Debug, Clone, Copy)]
@@ -186,4 +189,21 @@ proptest! {
         prop_assert_eq!(wheel.stats(), heap.stats());
         prop_assert_eq!(wheel.window_max_depth(), heap.window_max_depth());
     }
+}
+
+#[test]
+fn queue_kinds_are_distinct_and_stable() {
+    let wheel: EventQueue<()> = EventQueue::new();
+    let heap: HeapQueue<()> = HeapQueue::new();
+    assert_eq!(wheel.queue_kind(), QUEUE_KIND);
+    assert_eq!(heap.queue_kind(), HEAP_QUEUE_KIND);
+    assert_ne!(wheel.queue_kind(), heap.queue_kind());
+}
+
+#[test]
+fn debug_is_nonempty() {
+    let q: EventQueue<()> = EventQueue::new();
+    assert!(!format!("{q:?}").is_empty());
+    let h: HeapQueue<()> = HeapQueue::new();
+    assert!(!format!("{h:?}").is_empty());
 }

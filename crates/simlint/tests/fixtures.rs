@@ -168,7 +168,7 @@ fn bad_fixtures_escape_scope_when_out_of_scope() {
     // guards against rules accidentally firing workspace-wide.
     let f = lint_fixture("nondet_iter_bad.rs", "crates/bench/src/fixture.rs");
     assert!(deny_rules(&f).is_empty(), "{f:?}");
-    let f = lint_fixture("wall_clock_bad.rs", "crates/criterion/src/fixture.rs");
+    let f = lint_fixture("wall_clock_bad.rs", "crates/bench/src/fixture.rs");
     assert!(deny_rules(&f).is_empty(), "{f:?}");
     let f = lint_fixture("panic_path_bad.rs", "crates/dmamem/src/metrics_fixture.rs");
     assert!(

@@ -155,6 +155,33 @@ impl SlackAccount {
         }
     }
 
+    /// Books `rounds` back-to-back repetitions of the calls `ops`, bit for
+    /// bit as making them would. The balance takes every credit and debit
+    /// in order, with the minimum checked after each debit, and the queue
+    /// debits add up in the same order; the credited count grows in one
+    /// step.
+    pub fn book_rounds(&mut self, ops: &[SlackOp], rounds: u64) {
+        let (mut slack, mut min, mut queue) =
+            (self.slack_ps, self.min_slack_ps, self.debited_queue_ps);
+        for _ in 0..rounds {
+            for op in ops {
+                match *op {
+                    SlackOp::Credit(amount) => slack += amount,
+                    SlackOp::DebitQueue(waited) => {
+                        slack -= waited;
+                        queue += waited;
+                        if slack < min {
+                            min = slack;
+                        }
+                    }
+                }
+            }
+        }
+        (self.slack_ps, self.min_slack_ps, self.debited_queue_ps) = (slack, min, queue);
+        let credits = ops.iter().filter(|op| matches!(op, SlackOp::Credit(_)));
+        self.credited += credits.count() as u64 * rounds;
+    }
+
     /// Total picoseconds debited, by source `(epoch, wake, proc, queue)`.
     pub fn debits_ps(&self) -> (f64, f64, f64, f64) {
         (
@@ -164,6 +191,16 @@ impl SlackAccount {
             self.debited_queue_ps,
         )
     }
+}
+
+/// One taped slack call of a request-train period (see
+/// [`SlackAccount::book_rounds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SlackOp {
+    /// [`SlackAccount::credit_request`], with the amount it credited.
+    Credit(f64),
+    /// [`SlackAccount::debit_queue`], with the delay it debited.
+    DebitQueue(f64),
 }
 
 /// The per-chip gather/release rule.

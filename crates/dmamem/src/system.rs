@@ -29,7 +29,7 @@ use simcore::{EventQueue, SimDuration, SimTime, Slab};
 
 use crate::config::{Scheme, SystemConfig};
 use crate::controller::pl::{plan_and_apply_observed, PopularityTracker};
-use crate::controller::ta::{ReleaseRule, SlackAccount};
+use crate::controller::ta::{ReleaseRule, SlackAccount, SlackOp};
 use crate::layout::PageMap;
 use crate::metrics::SimResult;
 use crate::obs::{DebitCause, EventLog, Obs, ObsMetrics, ReleaseCause, SimEvent, SlackSummary};
@@ -38,7 +38,7 @@ use crate::tracing::Tracer;
 
 mod batch;
 
-use batch::{Batcher, Tape, TapeOp};
+use batch::{Batcher, Tape};
 
 /// Queue-shape schema of [`ServerSimulator`]'s event loop, recorded in
 /// engine baselines: the calendar wheel ([`simcore::QUEUE_KIND`]) with
@@ -96,8 +96,8 @@ impl ServerSimulator {
     /// Simulated results are identical either way (the fast-forward only
     /// skips provably no-op ticks, train windows run the same handlers
     /// in the same `(time, seq)` order up to reordering events that
-    /// commute with the train, and a batch replays a taped period's
-    /// data-path calls in their order; `tests/fast_forward.rs`
+    /// commute with the train, and a batch adds a taped period's
+    /// operands to each accumulator in their order; `tests/fast_forward.rs`
     /// pins the conservation identity bit for bit) — this knob exists
     /// as the test oracle for that claim and as an escape hatch while
     /// debugging event-order issues.
@@ -1186,7 +1186,7 @@ impl<'a> Engine<'a> {
         self.dma_requests += 1;
         if let Some(slack) = &mut self.slack {
             let amount_ps = slack.credit_request();
-            self.tape.record(TapeOp::Credit);
+            self.tape.slack(SlackOp::Credit(amount_ps));
             if !self.obs_quiet {
                 self.obs.emit(SimEvent::SlackCredit {
                     at: self.now,
@@ -1415,14 +1415,13 @@ impl<'a> Engine<'a> {
             return;
         } else if let Some(r) = c.dma_ready.pop_front() {
             let service = self.service_time_memo(r.req.bytes);
-            let c = &mut self.chips[chip];
+            let (c, tape) = (&mut self.chips[chip], &mut self.tape);
+            if tape.taping() {
+                c.chip.sync_noting(self.now, |a| tape.accrue(chip, a));
+            }
             c.chip
                 .begin_service(self.now, service, EnergyCategory::ActiveServing);
-            self.tape.record(TapeOp::Serve {
-                chip,
-                at: self.now,
-                service,
-            });
+            tape.serve(chip, self.now, service);
             self.serving[chip] = Some(Serving::Dma {
                 req: r.req,
                 arrival: r.arrival,
@@ -1506,7 +1505,7 @@ impl<'a> Engine<'a> {
                     // the performance budget like any other added delay.
                     if let Some(slack) = &mut self.slack {
                         slack.debit_queue(delay);
-                        self.tape.record(TapeOp::DebitQueue { delay_ps: delay });
+                        self.tape.slack(SlackOp::DebitQueue(delay));
                         if delay > 0.0 && !self.obs_quiet {
                             self.obs.emit(SimEvent::SlackDebit {
                                 at: self.now,
@@ -1518,9 +1517,7 @@ impl<'a> Engine<'a> {
                     }
                 }
                 self.request_service.record(self.now - arrival);
-                self.tape.record(TapeOp::Record {
-                    service: self.now - arrival,
-                });
+                self.tape.record(self.now - arrival);
                 self.served += 1;
                 self.service_sum_ps += (self.now - arrival).as_ps();
                 self.dma_serving += service;
@@ -1561,12 +1558,7 @@ impl<'a> Engine<'a> {
         self.timer_gen[chip] += 1;
         let mode = c.chip.mode().unwrap_or(PowerMode::Active);
         let step = c.policy.next_step(mode, self.now);
-        self.tape.record(TapeOp::Arm {
-            chip,
-            mode,
-            at: self.now,
-            step,
-        });
+        self.tape.arm((chip, mode, self.now, step));
         if let Some((target, when)) = step {
             self.planned_mode[chip] = Some(target);
             let gen = self.timer_gen[chip];

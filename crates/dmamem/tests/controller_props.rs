@@ -2,13 +2,56 @@
 //! release rule, PL planning, page map).
 
 use dmamem::controller::pl::{plan_and_apply, GroupLayout, PopularityTracker};
-use dmamem::controller::ta::{ReleaseRule, SlackAccount};
+use dmamem::controller::ta::{ReleaseRule, SlackAccount, SlackOp};
 use dmamem::{PageMap, PlConfig, SystemConfig};
 use mempower::PowerModel;
 use proptest::prelude::*;
 use simcore::SimDuration;
 
 proptest! {
+    /// Booking `k` rounds of a taped period's credits and queue debits
+    /// leaves the account bit for bit where `k` more rounds of the calls
+    /// would: balance, minimum, per-source debits and credited count.
+    #[test]
+    fn booked_slack_rounds_equal_calls(
+        mu in 0.0f64..2.0,
+        opening in 0u64..200_000,
+        period in prop::collection::vec((any::<bool>(), 0u64..30_000), 1..8),
+        k in 1u64..10_001,
+    ) {
+        let mut called = SlackAccount::new(mu, SimDuration::from_ps(7_500));
+        // Start from a nonzero balance and minimum.
+        called.debit_wake(SimDuration::from_ps(opening), 1);
+        called.credit_request();
+        let run = |s: &mut SlackAccount| {
+            period
+                .iter()
+                .map(|&(credit, ps)| {
+                    if credit {
+                        SlackOp::Credit(s.credit_request())
+                    } else {
+                        // Sub-picosecond fractions make the sums round.
+                        let waited = ps as f64 * 1.001;
+                        s.debit_queue(waited);
+                        SlackOp::DebitQueue(waited)
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        let tape = run(&mut called);
+        let mut booked = called.clone();
+        booked.book_rounds(&tape, k);
+        for _ in 0..k {
+            run(&mut called);
+        }
+        let bits = |s: &SlackAccount| {
+            let (epoch, wake, proc, queue) = s.debits_ps();
+            [s.slack_ps(), s.min_slack_ps(), epoch, wake, proc, queue].map(f64::to_bits)
+        };
+        prop_assert_eq!(bits(&booked), bits(&called));
+        prop_assert_eq!(booked.credited_requests(), called.credited_requests());
+    }
+
     /// Slack arithmetic: balance always equals credits minus debits.
     #[test]
     fn slack_books_balance(

@@ -9,8 +9,8 @@
 //!   power steps of chips without DMA work, empty epoch ticks) inside the
 //!   window instead of closing it.
 //! * Periodic train batching books whole slot periods of a steady window
-//!   by replaying one taped period's data-path calls, past commuting
-//!   events.
+//!   by adding one taped period's operands to their accumulators again,
+//!   past commuting events.
 //!
 //! [`ServerSimulator::with_classic_event_core`] disables all three, so every
 //! pair below runs the same trace both ways and demands identical
@@ -352,6 +352,28 @@ fn aligned_buses_into_one_chip_batch_with_queue_debits() {
         let label = format!("aligned {}", scheme.label());
         assert_conserved(&label, &fast, &classic);
         assert_batched(&label, &fast, &classic);
+        if let Some(slack) = &fast.slack {
+            assert!(slack.debit_queue_ps > 0.0, "{label}: no queue debits");
+        }
+    }
+}
+
+/// The same three buses stream 1-MiB transfers: one batch per run books
+/// over 10^5 three-service periods, every one with queue debits.
+#[test]
+fn long_aligned_trains_into_one_chip_conserve() {
+    const MIB: u64 = 1 << 20;
+    let trace = Trace::from_events(vec![
+        dma(0, 0, 0, MIB),
+        dma(3, 2, 2, MIB),
+        dma(6, 1, 1, MIB),
+    ]);
+    for scheme in [Scheme::baseline(), Scheme::dma_ta(2.0)] {
+        let (fast, classic) = run_pair(scheme, &trace);
+        let label = format!("long aligned {}", scheme.label());
+        assert_conserved(&label, &fast, &classic);
+        assert_batched(&label, &fast, &classic);
+        assert_nearly_all_batched(&label, &fast);
         if let Some(slack) = &fast.slack {
             assert!(slack.debit_queue_ps > 0.0, "{label}: no queue debits");
         }

@@ -43,6 +43,6 @@ mod energy;
 mod model;
 pub mod policy;
 
-pub use chip::{Chip, ChipId, ChipPhase, ModeResidency};
+pub use chip::{Accrual, Chip, ChipId, ChipPhase, ModeResidency};
 pub use energy::{EnergyBreakdown, EnergyCategory};
 pub use model::{PowerMode, PowerModel, TransitionSpec};

@@ -25,12 +25,10 @@ use simcore::{SimDuration, SimTime};
 pub trait PowerPolicy: std::fmt::Debug + Send {
     /// Given a chip settled in `current` and continuously idle since
     /// `idle_start`, returns the next down-transition as
-    /// `(target mode, instant to begin)`, or `None` to stay put.
-    fn next_step(
-        &mut self,
-        current: PowerMode,
-        idle_start: SimTime,
-    ) -> Option<(PowerMode, SimTime)>;
+    /// `(target mode, instant to begin)`, or `None` to stay put. A pure
+    /// query: adaptive policies change state only in
+    /// [`PowerPolicy::observe_idle_period`].
+    fn next_step(&self, current: PowerMode, idle_start: SimTime) -> Option<(PowerMode, SimTime)>;
 
     /// Feedback hook: reports the length of a completed idle period (from
     /// idle start to the wake-triggering request). Adaptive policies use
@@ -52,18 +50,14 @@ pub trait PowerPolicy: std::fmt::Debug + Send {
 /// use mempower::PowerMode;
 /// use simcore::SimTime;
 ///
-/// let mut p = AlwaysActive;
+/// let p = AlwaysActive;
 /// assert_eq!(p.next_step(PowerMode::Active, SimTime::ZERO), None);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AlwaysActive;
 
 impl PowerPolicy for AlwaysActive {
-    fn next_step(
-        &mut self,
-        _current: PowerMode,
-        _idle_start: SimTime,
-    ) -> Option<(PowerMode, SimTime)> {
+    fn next_step(&self, _current: PowerMode, _idle_start: SimTime) -> Option<(PowerMode, SimTime)> {
         None
     }
 
@@ -97,11 +91,7 @@ impl StaticPolicy {
 }
 
 impl PowerPolicy for StaticPolicy {
-    fn next_step(
-        &mut self,
-        current: PowerMode,
-        idle_start: SimTime,
-    ) -> Option<(PowerMode, SimTime)> {
+    fn next_step(&self, current: PowerMode, idle_start: SimTime) -> Option<(PowerMode, SimTime)> {
         if current == PowerMode::Active {
             Some((self.mode, idle_start))
         } else {
@@ -133,7 +123,7 @@ impl PowerPolicy for StaticPolicy {
 /// use mempower::{PowerMode, PowerModel};
 /// use simcore::{SimDuration, SimTime};
 ///
-/// let mut p = DynamicThresholdPolicy::lebeck(&PowerModel::rdram());
+/// let p = DynamicThresholdPolicy::lebeck(&PowerModel::rdram());
 /// let (mode, when) = p.next_step(PowerMode::Active, SimTime::ZERO).unwrap();
 /// assert_eq!(mode, PowerMode::Standby);
 /// assert!(when > SimTime::ZERO);
@@ -222,11 +212,7 @@ impl DynamicThresholdPolicy {
 }
 
 impl PowerPolicy for DynamicThresholdPolicy {
-    fn next_step(
-        &mut self,
-        current: PowerMode,
-        idle_start: SimTime,
-    ) -> Option<(PowerMode, SimTime)> {
+    fn next_step(&self, current: PowerMode, idle_start: SimTime) -> Option<(PowerMode, SimTime)> {
         self.step_from(current)
             .map(|(mode, th)| (mode, idle_start + th))
     }
@@ -265,11 +251,7 @@ impl SelfTuningPolicy {
 }
 
 impl PowerPolicy for SelfTuningPolicy {
-    fn next_step(
-        &mut self,
-        current: PowerMode,
-        idle_start: SimTime,
-    ) -> Option<(PowerMode, SimTime)> {
+    fn next_step(&self, current: PowerMode, idle_start: SimTime) -> Option<(PowerMode, SimTime)> {
         self.base.scaled(self.factor).next_step(current, idle_start)
     }
 
@@ -297,7 +279,7 @@ mod tests {
 
     #[test]
     fn dynamic_steps_down_in_order() {
-        let mut p = DynamicThresholdPolicy::new(
+        let p = DynamicThresholdPolicy::new(
             Some(SimDuration::from_ns(10)),
             Some(SimDuration::from_ns(100)),
             Some(SimDuration::from_ns(1000)),
@@ -314,7 +296,7 @@ mod tests {
 
     #[test]
     fn dynamic_skips_disabled_modes() {
-        let mut p = DynamicThresholdPolicy::new(None, Some(SimDuration::from_ns(50)), None);
+        let p = DynamicThresholdPolicy::new(None, Some(SimDuration::from_ns(50)), None);
         let (m, t) = p.next_step(PowerMode::Active, at(0)).unwrap();
         assert_eq!((m, t), (PowerMode::Nap, at(50)));
         assert_eq!(p.next_step(PowerMode::Nap, at(0)), None);
@@ -335,7 +317,7 @@ mod tests {
 
     #[test]
     fn static_policy_drops_immediately() {
-        let mut p = StaticPolicy::new(PowerMode::Nap);
+        let p = StaticPolicy::new(PowerMode::Nap);
         let (m, t) = p.next_step(PowerMode::Active, at(42)).unwrap();
         assert_eq!((m, t), (PowerMode::Nap, at(42)));
         assert_eq!(p.next_step(PowerMode::Nap, at(42)), None);
@@ -350,7 +332,7 @@ mod tests {
 
     #[test]
     fn always_active_never_sleeps() {
-        let mut p = AlwaysActive;
+        let p = AlwaysActive;
         assert_eq!(p.next_step(PowerMode::Active, at(0)), None);
         assert_eq!(p.name(), "always-active");
     }

@@ -49,6 +49,34 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
+    /// Records `rounds` back-to-back passes over `xs`, bit for bit as
+    /// recording each value in turn would. The mean and m2 take every
+    /// value in order; min and max, which a repeated value cannot move
+    /// again, take each value once.
+    pub fn record_rounds(&mut self, xs: &[f64], rounds: u64) {
+        if rounds == 0 {
+            return;
+        }
+        let (mut mean, mut m2) = (self.mean, self.m2);
+        // Counts stay far below 2^53, where `count as f64` is exact, so a
+        // float counter takes the same values.
+        let mut count = self.count as f64;
+        for _ in 0..rounds {
+            for &x in xs {
+                count += 1.0;
+                let delta = x - mean;
+                mean += delta / count;
+                m2 += delta * (x - mean);
+            }
+        }
+        (self.mean, self.m2) = (mean, m2);
+        self.count += xs.len() as u64 * rounds;
+        for &x in xs {
+            self.min = self.min.min(x);
+            self.max = self.max.max(x);
+        }
+    }
+
     /// Number of observations recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -152,6 +180,13 @@ impl DurationStats {
     /// Records one duration.
     pub fn record(&mut self, d: SimDuration) {
         self.inner.record(d.as_ns_f64());
+    }
+
+    /// Records `rounds` back-to-back passes over durations given in
+    /// nanoseconds (as [`SimDuration::as_ns_f64`] converts them); see
+    /// [`OnlineStats::record_rounds`].
+    pub fn record_rounds_ns(&mut self, ns: &[f64], rounds: u64) {
+        self.inner.record_rounds(ns, rounds);
     }
 
     /// Number of observations.

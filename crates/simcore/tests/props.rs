@@ -106,6 +106,37 @@ proptest! {
         prop_assert!((s.population_variance() - var).abs() < 1e-4 * (1.0 + var));
     }
 
+    /// Recording `k` rounds of values at once matches recording them one
+    /// by one, bit for bit.
+    #[test]
+    fn online_stats_rounds_match_records(
+        before in prop::collection::vec(0.0f64..1e3, 0..20),
+        xs in prop::collection::vec(0.0f64..1e3, 1..8),
+        k in 0u64..10_001,
+    ) {
+        let mut one = OnlineStats::new();
+        for &x in &before {
+            one.record(x);
+        }
+        let mut rounds = one.clone();
+        rounds.record_rounds(&xs, k);
+        for _ in 0..k {
+            for &x in &xs {
+                one.record(x);
+            }
+        }
+        let bits = |s: &OnlineStats| {
+            (
+                s.count(),
+                s.mean().to_bits(),
+                s.population_variance().to_bits(),
+                s.min().map(f64::to_bits),
+                s.max().map(f64::to_bits),
+            )
+        };
+        prop_assert_eq!(bits(&rounds), bits(&one));
+    }
+
     /// SampleSet quantiles are actual elements and ordered in q.
     #[test]
     fn quantiles_are_order_statistics(xs in prop::collection::vec(-1e3f64..1e3, 1..200)) {

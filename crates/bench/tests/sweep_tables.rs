@@ -9,7 +9,7 @@ use bench::{
     fig5_table, fig7_table, fig8_table, table2_rows_text, ALL_WORKLOADS, BUS_RATE_SWEEP, CP_SWEEP,
     INTENSITY_SWEEP, PROC_SWEEP,
 };
-use dmamem::experiments::{ExpConfig, Workload};
+use dmamem::experiments::{self, ExpConfig, Workload};
 
 /// Runs the full simulation-heavy figure matrix on `runner` with the
 /// paper's standard sweeps.
@@ -45,6 +45,24 @@ fn rendered_tables_byte_identical_across_thread_counts() {
     let serial = render(1);
     for threads in [2usize, 8] {
         assert_eq!(serial, render(threads), "threads={threads}");
+    }
+}
+
+/// The Figure 2(a) and Figure 3 timelines appear verbatim in the
+/// committed quick exhibits, exactly as `experiments all --quick` prints
+/// them.
+#[test]
+fn timelines_match_committed_exhibits() {
+    let exhibits = include_str!("../baselines/exhibits_quick.txt");
+    for (name, art) in [
+        ("fig2a", experiments::fig2a_timeline()),
+        ("fig3", experiments::fig3_timeline()),
+    ] {
+        assert!(art.starts_with("window "), "{name}:\n{art}");
+        assert!(
+            exhibits.contains(&format!("\n\n{art}\n")),
+            "{name} timeline moved:\n{art}"
+        );
     }
 }
 

@@ -37,10 +37,11 @@ use std::sync::Arc;
 use iobus::{BusConfig, BusDiscipline};
 use mempower::{EnergyBreakdown, PowerMode, PowerModel};
 use simcore::obs::SpillSink;
-use simcore::SimDuration;
+use simcore::{SimDuration, SimTime};
 
 use crate::config::{PlConfig, PolicyKind, Scheme, SystemConfig, TaConfig};
 use crate::metrics::SimResult;
+use crate::obs::{ChipActivity, SimEvent};
 use crate::sweep::{SharedTrace, SimJob, SweepCtx};
 use crate::system::ServerSimulator;
 
@@ -251,20 +252,12 @@ pub struct Fig2a {
 /// Reproduces the Figure 2(a) analysis: one 8-KB transfer over one PCI-X
 /// bus against one RDRAM chip wastes two-thirds of the active cycles.
 pub fn fig2a() -> Fig2a {
-    let config = paper_system();
+    let (config, trace) = fig2a_setup();
     let cycle = SimDuration::from_cycles(1, 1.6e9);
     let serving = config
         .power_model
         .service_time(config.buses[0].request_bytes);
     let period = config.t_request();
-    let trace = Trace::from_events(vec![dma_trace::TraceEvent::Dma(dma_trace::DmaRecord {
-        time: simcore::SimTime::ZERO,
-        bus: 0,
-        page: 0,
-        bytes: config.page_bytes,
-        direction: iobus::DmaDirection::FromMemory,
-        source: iobus::DmaSource::Network,
-    })]);
     let r = ServerSimulator::new(config, Scheme::baseline()).run(&trace);
     Fig2a {
         serving_cycles: serving.ratio(cycle),
@@ -295,9 +288,16 @@ pub fn fig2b_ctx(ctx: &SweepCtx, exp: ExpConfig) -> Vec<(String, EnergyBreakdown
 }
 
 /// Figure 2(a) as an ASCII timeline: one transfer, one chip, the 4-serving
-/// + 8-idle cycle pattern rendered over the first microsecond.
+/// + 8-idle cycle pattern rendered over the first 180 ns.
 pub fn fig2a_timeline() -> String {
-    use simcore::SimTime;
+    let (config, trace) = fig2a_setup();
+    let window = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_ns(180));
+    timeline_of(config, Scheme::baseline(), &trace, window)
+}
+
+/// The Figure 2(a) system and its trace: one page-sized transfer at time
+/// zero on bus 0.
+fn fig2a_setup() -> (SystemConfig, Trace) {
     let config = paper_system();
     let trace = Trace::from_events(vec![dma_trace::TraceEvent::Dma(dma_trace::DmaRecord {
         time: SimTime::ZERO,
@@ -307,11 +307,7 @@ pub fn fig2a_timeline() -> String {
         direction: iobus::DmaDirection::FromMemory,
         source: iobus::DmaSource::Network,
     })]);
-    let window_end = SimTime::ZERO + SimDuration::from_ns(180);
-    let r = ServerSimulator::new(config, Scheme::baseline())
-        .with_timeline(SimTime::ZERO, window_end)
-        .run(&trace);
-    r.timeline.expect("timeline requested").render_active(96)
+    (config, trace)
 }
 
 // ---------------------------------------------------------------------
@@ -332,26 +328,7 @@ pub struct Fig3 {
 /// Reproduces the Figure 3 scenario (four I/O buses, transfers gathered
 /// then run in lockstep).
 pub fn fig3() -> Fig3 {
-    let config = paper_system().with_buses(4, BusConfig::pci_x());
-    let mk = |us: u64, bus: usize, page: u64| {
-        dma_trace::TraceEvent::Dma(dma_trace::DmaRecord {
-            time: simcore::SimTime::ZERO + SimDuration::from_us(us),
-            bus,
-            page,
-            bytes: 8192,
-            direction: iobus::DmaDirection::FromMemory,
-            source: iobus::DmaSource::Network,
-        })
-    };
-    // Warm-up transfers to a far chip accumulate slack credits (the
-    // guarantee account starts empty, so gathering needs earned budget).
-    // Then four staggered transfers target chip 0 (pages 0..4 share it
-    // under the sequential layout) after it has gone to sleep.
-    let mut events: Vec<dma_trace::TraceEvent> = (0..8u64)
-        .map(|i| mk(i * 10, (i % 4) as usize, 40_000))
-        .collect();
-    events.extend([mk(500, 0, 0), mk(502, 1, 1), mk(504, 2, 2), mk(506, 3, 3)]);
-    let trace = Trace::from_events(events);
+    let (config, trace) = fig3_setup();
     let baseline = ServerSimulator::new(config.clone(), Scheme::baseline()).run(&trace);
     let ta = ServerSimulator::new(config, Scheme::dma_ta(3.0)).run(&trace);
     Fig3 {
@@ -364,7 +341,20 @@ pub fn fig3() -> Fig3 {
 /// Figure 3 as an ASCII timeline: the gathered transfers' lockstep service
 /// on the target chip, rendered around the release instant.
 pub fn fig3_timeline() -> String {
-    use simcore::SimTime;
+    let (config, trace) = fig3_setup();
+    let window = (
+        SimTime::ZERO + SimDuration::from_us(499),
+        SimTime::ZERO + SimDuration::from_us(540),
+    );
+    timeline_of(config, Scheme::dma_ta(3.0), &trace, window)
+}
+
+/// The Figure 3 system (four PCI-X buses) and its trace. Warm-up
+/// transfers to a far chip accumulate slack credits (the guarantee
+/// account starts empty, so gathering needs earned budget). Then four
+/// staggered transfers target chip 0 (pages 0..4 share it under the
+/// sequential layout) after it has gone to sleep.
+fn fig3_setup() -> (SystemConfig, Trace) {
     let config = paper_system().with_buses(4, BusConfig::pci_x());
     let mk = |us: u64, bus: usize, page: u64| {
         dma_trace::TraceEvent::Dma(dma_trace::DmaRecord {
@@ -380,15 +370,82 @@ pub fn fig3_timeline() -> String {
         .map(|i| mk(i * 10, (i % 4) as usize, 40_000))
         .collect();
     events.extend([mk(500, 0, 0), mk(502, 1, 1), mk(504, 2, 2), mk(506, 3, 3)]);
-    let trace = Trace::from_events(events);
-    let window = (
-        SimTime::ZERO + SimDuration::from_us(499),
-        SimTime::ZERO + SimDuration::from_us(540),
+    (config, Trace::from_events(events))
+}
+
+// ---------------------------------------------------------------------
+// Timelines
+
+/// Event-log capacity for the timeline runs. Figure 3 logs ~33 k events;
+/// [`timeline_of`] refuses a truncated log rather than draw a partial
+/// window.
+const TIMELINE_EVENTS: usize = 1 << 16;
+
+/// Runs `scheme` over `trace` with the event log on and draws its chip
+/// activity in `window`, 96 columns across.
+fn timeline_of(
+    config: SystemConfig,
+    scheme: Scheme,
+    trace: &Trace,
+    window: (SimTime, SimTime),
+) -> String {
+    let chips = config.chips;
+    let r = ServerSimulator::new(config, scheme)
+        .with_observability(TIMELINE_EVENTS)
+        .run(trace);
+    let log = &r.obs.expect("observability requested").events;
+    assert_eq!(log.dropped(), 0, "timeline event log truncated");
+    render_timeline(log.iter(), window, SimTime::ZERO + r.horizon, chips, 96)
+}
+
+/// Draws the paper's up-down timeline pictures in ASCII from a run's
+/// [`SimEvent::Activity`] changes: one row per chip that served or idled
+/// on DMA work inside `[start, end)`, `width` columns across. Each change
+/// ends the chip's previous segment; segments are clipped to the window,
+/// empty ones are dropped, and the last one closes at `horizon`. Repeated
+/// activities need no merging: the engine's observer hub never emits a
+/// chip's current activity again.
+fn render_timeline<'a>(
+    events: impl IntoIterator<Item = &'a SimEvent>,
+    (start, end): (SimTime, SimTime),
+    horizon: SimTime,
+    chips: usize,
+    width: usize,
+) -> String {
+    let clip = |t: SimTime| t.max(start).min(end);
+    let mut changes = vec![Vec::new(); chips];
+    for ev in events {
+        if let SimEvent::Activity { at, chip, activity } = *ev {
+            changes[chip].push((clip(at), activity));
+        }
+    }
+    let span = end - start;
+    let column =
+        |t: SimTime| ((t - start).as_ps() as u128 * width as u128 / span.as_ps() as u128) as usize;
+    let mut out = format!(
+        "window {start} .. {end} ({} per column)\n",
+        span / width as u64
     );
-    let r = ServerSimulator::new(config, Scheme::dma_ta(3.0))
-        .with_timeline(window.0, window.1)
-        .run(&trace);
-    r.timeline.expect("timeline requested").render_active(96)
+    for (chip, changes) in changes.iter().enumerate() {
+        let mut row = vec![' '; width];
+        let mut dma = false;
+        for (i, &(from, activity)) in changes.iter().enumerate() {
+            let to = changes.get(i + 1).map_or(clip(horizon), |c| c.0);
+            if to > from {
+                dma |= matches!(activity, ChipActivity::Serving | ChipActivity::IdleDma);
+                let a = column(from);
+                row[a..column(to).max(a + 1).min(width)].fill(activity.glyph());
+            }
+        }
+        if dma {
+            out.push_str(&format!(
+                "chip {chip:>3} |{}|\n",
+                row.iter().collect::<String>()
+            ));
+        }
+    }
+    out.push_str("legend: # serving  ~ idle-DMA  . idle  / transition  _ low power\n");
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -1275,6 +1332,82 @@ mod tests {
         let f = fig3();
         assert!(f.delayed_firsts >= 2, "{f:?}");
         assert!(f.ta_uf > f.baseline_uf + 0.05, "{f:?}");
+    }
+
+    fn ns(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_ns(n)
+    }
+
+    fn act(at: u64, chip: usize, activity: ChipActivity) -> SimEvent {
+        SimEvent::Activity {
+            at: ns(at),
+            chip,
+            activity,
+        }
+    }
+
+    /// The chip rows of a rendered timeline (header and legend dropped).
+    fn rows(art: &str) -> Vec<&str> {
+        assert!(art.starts_with("window ") && art.ends_with("low power\n"));
+        art.lines().filter(|l| l.starts_with("chip")).collect()
+    }
+
+    #[test]
+    fn timeline_segments_are_closed_and_clipped() {
+        let events = [
+            act(0, 0, ChipActivity::LowPower), // clipped to 10
+            act(20, 0, ChipActivity::Serving),
+            act(30, 1, ChipActivity::IdleDma),
+        ];
+        // Window [10, 50) at 1 ns a column; the horizon is clipped to 50.
+        let art = render_timeline(&events, (ns(10), ns(50)), ns(100), 2, 40);
+        assert!(
+            art.starts_with("window t=10ns .. t=50ns (1ns per column)\n"),
+            "{art}"
+        );
+        assert_eq!(
+            rows(&art),
+            [
+                format!("chip   0 |{}{}|", "_".repeat(10), "#".repeat(30)),
+                format!("chip   1 |{}{}|", " ".repeat(20), "~".repeat(20)),
+            ]
+        );
+    }
+
+    #[test]
+    fn timeline_events_past_window_open_nothing() {
+        let events = [act(50, 0, ChipActivity::Serving)];
+        let art = render_timeline(&events, (ns(0), ns(10)), ns(60), 1, 10);
+        assert!(rows(&art).is_empty(), "{art}");
+    }
+
+    #[test]
+    fn timeline_zero_length_changes_do_not_emit() {
+        let events = [
+            act(5, 0, ChipActivity::Serving),
+            act(5, 0, ChipActivity::IdleDma),
+            // A zero-length serving segment does not make chip 1 a DMA row.
+            act(5, 1, ChipActivity::Serving),
+            act(5, 1, ChipActivity::IdleOther),
+            // Nor does a change that clips to the window end.
+            act(12, 2, ChipActivity::Serving),
+        ];
+        let art = render_timeline(&events, (ns(0), ns(10)), ns(20), 3, 10);
+        assert_eq!(rows(&art), ["chip   0 |     ~~~~~|"]);
+    }
+
+    #[test]
+    fn timeline_render_shows_glyph_rows() {
+        let events = [
+            act(0, 0, ChipActivity::Serving),
+            act(4, 0, ChipActivity::IdleDma),
+        ];
+        let art = render_timeline(&events, (ns(0), ns(12)), ns(12), 1, 12);
+        assert_eq!(rows(&art), ["chip   0 |####~~~~~~~~|"]);
+        assert!(art.contains("legend: # serving"), "{art}");
+        // A run that ends inside the window closes its last segment there.
+        let art = render_timeline(&events, (ns(0), ns(12)), ns(8), 1, 12);
+        assert_eq!(rows(&art), ["chip   0 |####~~~~    |"]);
     }
 
     #[test]

@@ -55,7 +55,6 @@ mod metrics;
 pub mod obs;
 pub mod sweep;
 mod system;
-pub mod timeline;
 pub mod tracing;
 
 pub use config::{PlConfig, PolicyKind, Scheme, SystemConfig, TaConfig};

@@ -6,7 +6,6 @@ use simcore::stats::DurationStats;
 use simcore::{EngineProfile, SimDuration};
 
 use crate::obs::{RunObs, SlackSummary};
-use crate::timeline::TimelineRecorder;
 
 /// Everything a simulation run measured.
 ///
@@ -61,9 +60,6 @@ pub struct SimResult {
     /// Observability report — metrics snapshot and the recorded event
     /// stream (see [`crate::ServerSimulator::with_observability`]).
     pub obs: Option<RunObs>,
-    /// Chip-activity timeline, if recording was requested (see
-    /// [`crate::ServerSimulator::with_timeline`]).
-    pub timeline: Option<TimelineRecorder>,
     /// Causal span trace, if tracing was requested (see
     /// [`crate::ServerSimulator::with_tracing`]).
     pub trace: Option<TraceBuffer>,
@@ -213,7 +209,6 @@ mod tests {
             sleep_floor_mw: 96.0,
             slack: None,
             obs: None,
-            timeline: None,
             trace: None,
             profile: EngineProfile::default(),
         }

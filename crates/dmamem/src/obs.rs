@@ -1,8 +1,7 @@
 //! Simulator observability: one engine event stream, its consumers, and
 //! the slack-guarantee audit trail.
 //!
-//! Enable with [`crate::ServerSimulator::with_observability`],
-//! [`with_timeline`](crate::ServerSimulator::with_timeline) or
+//! Enable with [`crate::ServerSimulator::with_observability`] or
 //! [`with_tracing`](crate::ServerSimulator::with_tracing). The engine
 //! builds each notable fact once, as a [`SimEvent`], and hands it to the
 //! observer hub, which passes the same value to every attached consumer:
@@ -10,12 +9,12 @@
 //! * **events** — a ring-buffered [`EventSink`] of the exported kinds
 //!   ([`EVENT_KINDS`]: chip power-mode transitions, DMA-TA gather/release
 //!   decisions, the complete slack ledger, PL page moves, epoch ticks,
-//!   chip-activity changes), exportable as JSONL;
+//!   chip-activity changes), exportable as JSONL; the Figure 2(a)/3
+//!   timelines in [`crate::experiments`] are drawn from its
+//!   chip-activity changes;
 //! * **metrics** — counters/gauges/histograms in a
 //!   [`MetricsRegistry`](simcore::obs::MetricsRegistry) under the
 //!   `dmamem.*` namespace ([`METRIC_KEYS`]);
-//! * **timeline** — the [`TimelineRecorder`] reads the chip-activity
-//!   changes;
 //! * **tracer** — the causal [`Tracer`](crate::tracing::Tracer) reads the
 //!   transfer-level facts as well (transfer start, request issue, release,
 //!   service start and completion), which are never written to the sink.
@@ -36,7 +35,6 @@ use simcore::obs::trace::TraceBuffer;
 use simcore::obs::{EventSink, JsonObject, MetricsRegistry, MetricsSnapshot, ObsEvent};
 use simcore::{SimDuration, SimTime};
 
-use crate::timeline::{ChipActivity, TimelineRecorder};
 use crate::tracing::Tracer;
 
 /// Every metric key the engine registers, in registration order. This is
@@ -190,6 +188,45 @@ impl ReleaseCause {
             ReleaseCause::Rule => "rule",
             ReleaseCause::MaxDelay => "max_delay",
             ReleaseCause::ProcWake => "proc_wake",
+        }
+    }
+}
+
+/// What a chip is doing, as drawn in the paper's Figure 2(a)/3 timelines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ChipActivity {
+    /// Actively serving a DMA-memory request or processor access.
+    Serving,
+    /// Active but idle between DMA-memory requests.
+    IdleDma,
+    /// Active and idle with no transfer in flight.
+    IdleOther,
+    /// Transitioning between power modes.
+    Transitioning,
+    /// In a low-power mode.
+    LowPower,
+}
+
+impl ChipActivity {
+    /// One-character glyph for ASCII rendering.
+    pub fn glyph(self) -> char {
+        match self {
+            ChipActivity::Serving => '#',
+            ChipActivity::IdleDma => '~',
+            ChipActivity::IdleOther => '.',
+            ChipActivity::Transitioning => '/',
+            ChipActivity::LowPower => '_',
+        }
+    }
+
+    /// Stable snake_case tag used in exported events.
+    pub fn name(self) -> &'static str {
+        match self {
+            ChipActivity::Serving => "serving",
+            ChipActivity::IdleDma => "idle_dma",
+            ChipActivity::IdleOther => "idle_other",
+            ChipActivity::Transitioning => "transitioning",
+            ChipActivity::LowPower => "low_power",
         }
     }
 }
@@ -720,16 +757,14 @@ impl EventLog {
 }
 
 /// The engine-side observer hub: every consumer (event log, metrics,
-/// timeline recorder, causal tracer) hangs off this one struct, and the
-/// engine reaches them all through [`Obs::emit`].
+/// causal tracer) hangs off this one struct, and the engine reaches them
+/// all through [`Obs::emit`].
 #[derive(Debug, Default)]
 pub(crate) struct Obs {
     /// Event log, when observability is enabled.
     pub(crate) log: Option<EventLog>,
     /// Metric handles, when observability is enabled.
     pub(crate) metrics: Option<ObsMetrics>,
-    /// Timeline recorder, when a window was requested.
-    pub(crate) timeline: Option<TimelineRecorder>,
     /// Causal span tracer, when transfer-level tracing was requested.
     pub(crate) tracer: Option<Tracer>,
     last_activity: Vec<Option<ChipActivity>>,
@@ -764,39 +799,27 @@ impl Obs {
         if let Some(log) = &mut self.log {
             log.on(ev);
         }
-        if let Some(rec) = &mut self.timeline {
-            rec.on(&ev);
-        }
         if let Some(tr) = &mut self.tracer {
             tr.on(&ev);
         }
     }
 
     /// Closes every consumer at `horizon` and returns what they captured:
-    /// the metrics snapshot and event stream, the timeline, and the span
-    /// trace, each when attached. The self-profile counters and, when a
-    /// tracer ran, its ring-loss counters (`dmamem.trace.spilled` /
-    /// `.dropped`) land in the metrics snapshot, so truncation is
-    /// observable, not silent.
+    /// the metrics snapshot and event stream, and the span trace, each
+    /// when attached. The self-profile counters and, when a tracer ran,
+    /// its ring-loss counters (`dmamem.trace.spilled` / `.dropped`) land
+    /// in the metrics snapshot, so truncation is observable, not silent.
     pub(crate) fn finish(
         self,
         horizon: SimTime,
         profile: &simcore::EngineProfile,
-    ) -> (
-        Option<RunObs>,
-        Option<TimelineRecorder>,
-        Option<TraceBuffer>,
-    ) {
+    ) -> (Option<RunObs>, Option<TraceBuffer>) {
         let Obs {
             log,
             metrics,
-            mut timeline,
             tracer,
             ..
         } = self;
-        if let Some(rec) = &mut timeline {
-            rec.finish(horizon);
-        }
         let trace = tracer.map(|t| t.into_buffer(horizon));
         if let Some(m) = &metrics {
             m.publish_prof(profile);
@@ -819,7 +842,7 @@ impl Obs {
                 events: log.sink,
             }
         });
-        (run, timeline, trace)
+        (run, trace)
     }
 }
 
@@ -1016,7 +1039,7 @@ mod tests {
         for &ev in events {
             obs.emit(ev);
         }
-        let (run, _, _) = obs.finish(t(100), &simcore::EngineProfile::default());
+        let (run, _) = obs.finish(t(100), &simcore::EngineProfile::default());
         run.expect("event log attached").events
     }
 

@@ -32,8 +32,9 @@ use crate::controller::pl::{plan_and_apply_observed, PopularityTracker};
 use crate::controller::ta::{ReleaseRule, SlackAccount, SlackOp};
 use crate::layout::PageMap;
 use crate::metrics::SimResult;
-use crate::obs::{DebitCause, EventLog, Obs, ObsMetrics, ReleaseCause, SimEvent, SlackSummary};
-use crate::timeline::{ChipActivity, TimelineRecorder};
+use crate::obs::{
+    ChipActivity, DebitCause, EventLog, Obs, ObsMetrics, ReleaseCause, SimEvent, SlackSummary,
+};
 use crate::tracing::Tracer;
 
 mod batch;
@@ -60,7 +61,6 @@ pub const ENGINE_QUEUE_KIND: &str = "calendar-wheel-v1+trains-v2";
 pub struct ServerSimulator {
     config: SystemConfig,
     scheme: Scheme,
-    timeline_window: Option<(SimTime, SimTime)>,
     observability: Option<usize>,
     tracing: Option<(usize, Option<SpillSink>)>,
     live: Option<Arc<LiveState>>,
@@ -80,7 +80,6 @@ impl ServerSimulator {
         ServerSimulator {
             config,
             scheme,
-            timeline_window: None,
             observability: None,
             tracing: None,
             live: None,
@@ -119,16 +118,6 @@ impl ServerSimulator {
     pub fn with_observability(mut self, event_capacity: usize) -> Self {
         assert!(event_capacity > 0, "zero-capacity event sink");
         self.observability = Some(event_capacity);
-        self
-    }
-
-    /// Records per-chip activity timelines inside `[start, end)`; the
-    /// result's [`SimResult::timeline`] renders them as the paper's
-    /// Figure 2(a)/3 diagrams. Keep the window short (microseconds to a few
-    /// milliseconds) — every chip state change in it is stored.
-    pub fn with_timeline(mut self, start: SimTime, end: SimTime) -> Self {
-        assert!(start < end, "empty timeline window");
-        self.timeline_window = Some((start, end));
         self
     }
 
@@ -189,12 +178,7 @@ impl ServerSimulator {
         let mut engine = Engine::new(&self.config, &self.scheme);
         engine.classic = self.classic;
         engine.live = self.live.clone();
-        engine.obs_quiet = self.timeline_window.is_none()
-            && self.observability.is_none()
-            && self.tracing.is_none();
-        if let Some((start, end)) = self.timeline_window {
-            engine.obs.timeline = Some(TimelineRecorder::new(start, end, self.config.chips));
-        }
+        engine.obs_quiet = self.observability.is_none() && self.tracing.is_none();
         if let Some(capacity) = self.observability {
             engine.obs.log = Some(EventLog::new(capacity));
             engine.obs.metrics = Some(ObsMetrics::new(&MetricsRegistry::new()));
@@ -789,7 +773,7 @@ impl<'a> Engine<'a> {
             batched_requests: self.batch.batched_requests,
             phases: self.phases,
         };
-        let (obs, timeline, trace) = self.obs.finish(horizon, &profile);
+        let (obs, trace) = self.obs.finish(horizon, &profile);
         SimResult {
             scheme: self.scheme.label(),
             energy,
@@ -809,7 +793,6 @@ impl<'a> Engine<'a> {
             mu: self.scheme.ta.map_or(0.0, |t| t.mu),
             slack: slack_summary,
             obs,
-            timeline,
             trace,
             profile,
             sleep_floor_mw: self.config.chips as f64
@@ -1993,22 +1976,6 @@ mod tests {
             hidden.energy.total_mj(),
             blunt.energy.total_mj()
         );
-    }
-
-    #[test]
-    fn timeline_records_figure2a_pattern() {
-        let config = small_config();
-        let window_end = SimTime::ZERO + SimDuration::from_ns(200);
-        let r = ServerSimulator::new(config, Scheme::baseline())
-            .with_timeline(SimTime::ZERO, window_end)
-            .run(&Trace::from_events(vec![dma_at(0, 0, 0)]));
-        let rec = r.timeline.expect("timeline requested");
-        // Within the window the chip alternates serving / DMA-idle at
-        // uf = 1/3 (Figure 2a).
-        let uf = rec.windowed_uf();
-        assert!((uf - 1.0 / 3.0).abs() < 0.05, "windowed uf {uf}");
-        let art = rec.render_active(48);
-        assert!(art.contains('#') && art.contains('~'), "art:\n{art}");
     }
 
     #[test]

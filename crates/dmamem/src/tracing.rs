@@ -39,8 +39,7 @@ use simcore::obs::trace::{SpanId, SpillSink, TraceBuffer, TrackId, TrackKind};
 use simcore::SimTime;
 
 use crate::metrics::SimResult;
-use crate::obs::SimEvent;
-use crate::timeline::ChipActivity;
+use crate::obs::{ChipActivity, SimEvent};
 
 /// Root span on a bus track: one whole DMA transfer, arrival to last
 /// request served.

@@ -10,7 +10,7 @@ use dmamem::{replay_slack, Scheme, ServerSimulator, SimEvent, SimResult, SystemC
 use mempower::PowerMode;
 use proptest::prelude::*;
 use simcore::obs::{SpillSink, TraceStats};
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 
 /// Runs `workload` under DMA-TA (optionally with PL) with the event sink
 /// sized so nothing is dropped; returns the result and the guarantee
@@ -281,13 +281,12 @@ const PINNED_SPILL_STATS: TraceStats = TraceStats {
 const PINNED_SPILLED: u64 = 494_152;
 
 /// The consumers share one stream and do not perturb each other: with
-/// the event log, metrics, timeline and a spilling tracer attached
+/// the event log, metrics and a spilling tracer attached
 /// together, each export matches its solo run, and the tracer's
 /// ring-loss counts land in the metrics snapshot.
 #[test]
 fn consumers_attached_together_match_their_solo_runs() {
     let (sim, trace) = pinned_sim();
-    let window = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_us(200));
     let spilled_trace = |sim: ServerSimulator| {
         let (sink, bytes) = SpillSink::memory();
         let mut r = sim.with_tracing(1 << 10, Some(sink)).run(&trace);
@@ -299,16 +298,10 @@ fn consumers_attached_together_match_their_solo_runs() {
         let bytes = bytes.lock().expect("spill buffer").clone();
         (r, bytes, counts)
     };
-    let (all, all_trace, (spilled, dropped)) = spilled_trace(
-        sim.clone()
-            .with_observability(1 << 20)
-            .with_timeline(window.0, window.1),
-    );
+    let (all, all_trace, (spilled, dropped)) =
+        spilled_trace(sim.clone().with_observability(1 << 20));
     let (_, solo_trace, _) = spilled_trace(sim.clone());
-    let solo_obs = sim
-        .with_observability(1 << 20)
-        .with_timeline(window.0, window.1)
-        .run(&trace);
+    let solo_obs = sim.with_observability(1 << 20).run(&trace);
 
     assert_eq!(
         all_trace, solo_trace,
@@ -327,8 +320,4 @@ fn consumers_attached_together_match_their_solo_runs() {
         Some(dropped)
     );
     assert_eq!(metrics.to_json(), solo.metrics.to_json());
-    assert_eq!(
-        all.timeline.expect("timeline").segments(),
-        solo_obs.timeline.expect("timeline").segments()
-    );
 }

@@ -7,7 +7,7 @@
 //! therefore a deliberate, reviewed diff of the golden file; regenerate
 //! it with `UPDATE_GOLDEN=1 cargo test -p dmamem --test trace_golden`.
 
-use dmamem::timeline::ChipActivity;
+use dmamem::obs::ChipActivity;
 use dmamem::tracing::Tracer;
 use dmamem::SimEvent;
 use mempower::PowerMode;

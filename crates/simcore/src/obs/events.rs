@@ -45,14 +45,15 @@ pub trait ObsEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventSink<E> {
-    buf: VecDeque<(u64, E)>,
+    buf: VecDeque<E>,
     capacity: usize,
-    next_seq: u64,
     dropped: u64,
 }
 
 impl<E: ObsEvent> EventSink<E> {
-    /// Creates a sink holding at most `capacity` events.
+    /// Creates a sink holding at most `capacity` events. The buffer is
+    /// reserved up front, so recording never copies it to grow; pages
+    /// the sink never writes are not touched.
     ///
     /// # Panics
     ///
@@ -60,9 +61,8 @@ impl<E: ObsEvent> EventSink<E> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity event sink");
         EventSink {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
+            buf: VecDeque::with_capacity(capacity),
             capacity,
-            next_seq: 0,
             dropped: 0,
         }
     }
@@ -73,8 +73,7 @@ impl<E: ObsEvent> EventSink<E> {
             self.buf.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back((self.next_seq, event));
-        self.next_seq += 1;
+        self.buf.push_back(event);
     }
 
     /// Number of buffered events.
@@ -99,12 +98,19 @@ impl<E: ObsEvent> EventSink<E> {
 
     /// Total events ever recorded (buffered + dropped).
     pub fn recorded(&self) -> u64 {
-        self.next_seq
+        self.dropped + self.buf.len() as u64
     }
 
     /// Iterates the buffered events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.buf.iter().map(|(_, e)| e)
+        self.buf.iter()
+    }
+
+    /// The buffered events with their sequence numbers, oldest first:
+    /// evicted events were the oldest, so the buffer holds the sequence
+    /// numbers `dropped..recorded`.
+    fn numbered(&self) -> impl Iterator<Item = (u64, &E)> {
+        (self.dropped..).zip(&self.buf)
     }
 
     /// Renders one event as its JSONL line (no trailing newline).
@@ -123,16 +129,15 @@ impl<E: ObsEvent> EventSink<E> {
     /// telemetry tail uses: callers remember the last `seq + 1` they saw
     /// and pass it back to read only newer events.
     pub fn lines_since(&self, since: u64) -> impl Iterator<Item = (u64, String)> + '_ {
-        self.buf
-            .iter()
+        self.numbered()
             .filter(move |(seq, _)| *seq >= since)
-            .map(|(seq, e)| (*seq, Self::line(*seq, e)))
+            .map(|(seq, e)| (seq, Self::line(seq, e)))
     }
 
     /// Writes the buffered events as JSONL (one JSON object per line).
     pub fn export_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for (seq, e) in &self.buf {
-            writeln!(w, "{}", Self::line(*seq, e))?;
+        for (seq, e) in self.numbered() {
+            writeln!(w, "{}", Self::line(seq, e))?;
         }
         Ok(())
     }
@@ -140,8 +145,8 @@ impl<E: ObsEvent> EventSink<E> {
     /// The buffered events as a JSONL string.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (seq, e) in &self.buf {
-            out.push_str(&Self::line(*seq, e));
+        for (seq, e) in self.numbered() {
+            out.push_str(&Self::line(seq, e));
             out.push('\n');
         }
         out

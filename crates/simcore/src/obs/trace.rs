@@ -395,22 +395,7 @@ impl TraceBuffer {
                 info.insert(id, SpanMeta { track, name, root });
             }
         }
-        let mut header = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        let mut any = false;
-        for (i, track) in self.tracks.iter().enumerate() {
-            let mut args = JsonObject::new();
-            args.field_str("name", &track.name);
-            let mut obj = JsonObject::new();
-            obj.field_str("name", "process_name")
-                .field_str("ph", "M")
-                .field_u64("pid", i as u64 + 1)
-                .field_raw("args", &args.finish());
-            if any {
-                header.push_str(",\n");
-            }
-            any = true;
-            header.push_str(&obj.finish());
-        }
+        let header = self.chrome_header();
         if sink.write(header.as_bytes()).is_err() {
             self.dropped += 1;
         }
@@ -418,7 +403,7 @@ impl TraceBuffer {
             sink,
             pinned: Vec::new(),
             info,
-            any,
+            any: !self.tracks.is_empty(),
             spilled: 0,
             finalized: false,
         });
@@ -647,8 +632,8 @@ impl TraceBuffer {
     /// `chrome://tracing` open directly. One event per line inside the
     /// `traceEvents` array; byte-identical for identical record sequences.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        let mut any = false;
+        let mut out = self.chrome_header();
+        let mut any = !self.tracks.is_empty();
         let push = |out: &mut String, line: String, any: &mut bool| {
             if *any {
                 out.push_str(",\n");
@@ -656,16 +641,6 @@ impl TraceBuffer {
             *any = true;
             out.push_str(&line);
         };
-        for (i, track) in self.tracks.iter().enumerate() {
-            let mut args = JsonObject::new();
-            args.field_str("name", &track.name);
-            let mut obj = JsonObject::new();
-            obj.field_str("name", "process_name")
-                .field_str("ph", "M")
-                .field_u64("pid", i as u64 + 1)
-                .field_raw("args", &args.finish());
-            push(&mut out, obj.finish(), &mut any);
-        }
         // Resolve each span id to its name, track, and root ancestor so
         // end events (and async keys) can be emitted without re-scanning:
         // retained begins by id relative to the oldest one, older spans
@@ -704,6 +679,27 @@ impl TraceBuffer {
             }
         }
         out.push_str("\n]}\n");
+        out
+    }
+
+    /// The Chrome JSON opener and one `process_name` metadata line per
+    /// track, comma-separated, with no separator after the last one. Both
+    /// the in-memory export and the spill sink start with it.
+    fn chrome_header(&self) -> String {
+        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+        for (i, track) in self.tracks.iter().enumerate() {
+            if i > 0 {
+                out.push_str(",\n");
+            }
+            let mut args = JsonObject::new();
+            args.field_str("name", &track.name);
+            let mut obj = JsonObject::new();
+            obj.field_str("name", "process_name")
+                .field_str("ph", "M")
+                .field_u64("pid", i as u64 + 1)
+                .field_raw("args", &args.finish());
+            out.push_str(&obj.finish());
+        }
         out
     }
 

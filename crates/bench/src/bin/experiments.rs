@@ -39,10 +39,11 @@
 //! `baseline_diff` gate, `--attrib-summary` prints per-run
 //! bucket percentages, and `--check` validates every span tree and the
 //! bucket-sum invariant, failing the process on any violation.
-//! `--trace-spill N` shrinks the exported run's span ring to `N` records
-//! and streams displaced records to the `--trace-out` file incrementally
-//! (bounded memory; loss shows up in the `dmamem.trace.spilled` /
-//! `dmamem.trace.dropped` counters, never silently).
+//! `--trace-out` always streams: the exported run keeps a 2^20-record
+//! span ring and writes each record it displaces into the file in record
+//! order, so memory stays bounded and a long run comes out complete. The
+//! stream's totals go to stderr; a record lost to a failed write fails
+//! the process.
 //!
 //! `--serve ADDR` (e.g. `127.0.0.1:9091`, port `0` for ephemeral) starts
 //! the live telemetry server for the duration of the run: `GET /metrics`
@@ -84,7 +85,6 @@ fn main() -> ExitCode {
     let mut attrib_out: Option<PathBuf> = None;
     let mut attrib_summary = false;
     let mut trace_check = false;
-    let mut trace_spill: Option<usize> = None;
     let mut serve_addr: Option<String> = None;
     let mut args = env::args().skip(1);
     while let Some(a) = args.next() {
@@ -132,10 +132,6 @@ fn main() -> ExitCode {
             },
             "--attrib-summary" => attrib_summary = true,
             "--check" => trace_check = true,
-            "--trace-spill" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => trace_spill = Some(v),
-                _ => return usage("--trace-spill needs a positive record count"),
-            },
             "--serve" => match args.next() {
                 Some(a) => serve_addr = Some(a),
                 None => return usage("--serve needs an address (e.g. 127.0.0.1:0)"),
@@ -147,9 +143,6 @@ fn main() -> ExitCode {
     }
     if quick && !ms_set {
         ms = 2;
-    }
-    if trace_spill.is_some() && trace_out.is_none() {
-        return usage("--trace-spill requires --trace-out (it streams into that file)");
     }
     let exp = ExpConfig {
         duration: SimDuration::from_ms(ms),
@@ -383,20 +376,21 @@ fn main() -> ExitCode {
     {
         matched = true;
         section("Trace report: causally-traced runs (fig-2 workloads + DMA-TA)");
-        // With --trace-spill the exported run keeps only N records
-        // resident and streams the rest straight into --trace-out.
-        let spill_sink = match (&trace_spill, &trace_out) {
-            (Some(_), Some(path)) => match SpillSink::file(path) {
+        // The exported run (the DMA-TA one, last) streams into
+        // --trace-out; the file is created before the run starts.
+        let sink = match &trace_out {
+            Some(path) => match SpillSink::file(path) {
                 Ok(sink) => Some(sink),
                 Err(e) => {
                     eprintln!("error: cannot create {}: {e}", path.display());
                     return ExitCode::FAILURE;
                 }
             },
-            _ => None,
+            None => None,
         };
-        let capacity = trace_spill.unwrap_or(1 << 20);
-        let mut runs = runner.traced_runs_spill(exp, 0.10, capacity, spill_sink);
+        let mut runs = runner.timed("trace", |ctx| {
+            experiments::traced_runs_spill_ctx(ctx, exp, 0.10, 1 << 20, sink)
+        });
         let attribs: Vec<_> = runs.iter().map(|r| r.attribution()).collect();
         for a in &attribs {
             println!("{}", a.summary_line());
@@ -429,42 +423,26 @@ fn main() -> ExitCode {
             }
         }
         if let Some(path) = &trace_out {
-            if trace_spill.is_some() {
-                // Spill mode: displaced records are already in the file;
-                // append the retained ring and the JSON footer.
-                let trace = runs
-                    .last_mut()
-                    .and_then(|r| r.result.trace.as_mut())
-                    .expect("traced run");
-                let spilled = trace.spilled();
-                trace.finalize_spill();
-                println!(
-                    "(Perfetto trace written to {}; open at https://ui.perfetto.dev)",
-                    path.display()
-                );
-                eprintln!(
-                    "(spill mode: {} record(s) streamed, {} dropped, ring capacity {})",
-                    spilled,
-                    trace.dropped(),
-                    capacity
-                );
-            } else {
-                // The DMA-TA run (last) is the causally richest export.
-                let trace = runs
-                    .last()
-                    .and_then(|r| r.result.trace.as_ref())
-                    .expect("traced run");
-                match fs::write(path, trace.to_chrome_json()) {
-                    Ok(()) => println!(
-                        "(Perfetto trace written to {}; open at https://ui.perfetto.dev)",
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("error: cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+            // Displaced records are already in the file; append the
+            // retained ring and the JSON footer.
+            let trace = runs
+                .last_mut()
+                .and_then(|r| r.result.trace.as_mut())
+                .expect("traced run");
+            let streamed = trace.spilled();
+            let total = trace.finalize_spill();
+            eprintln!(
+                "(trace stream: {streamed} record(s) streamed during the run, {total} in all, {} dropped)",
+                trace.dropped()
+            );
+            if trace.dropped() > 0 {
+                eprintln!("error: cannot write {}: records lost", path.display());
+                return ExitCode::FAILURE;
             }
+            println!(
+                "(Perfetto trace written to {}; open at https://ui.perfetto.dev)",
+                path.display()
+            );
         }
         if let Some(path) = &attrib_out {
             match fs::write(path, dmamem::attribution_json(&attribs)) {
@@ -513,7 +491,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: experiments [table1|table2|fig2a|fig2b|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|groups|tpch|ablations|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--prof-out FILE] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--trace-spill N] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]"
+        "usage: experiments [table1|table2|fig2a|fig2b|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|groups|tpch|ablations|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--prof-out FILE] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -16,11 +16,11 @@ use std::time::Instant;
 use dma_trace::TraceStats;
 use dmamem::experiments::{
     self, ExpConfig, Fig10Row, Fig5Row, Fig7Row, Fig8Row, Fig9Row, GroupAblationRow, ObservedRun,
-    TpchRow, TracedRun, Workload,
+    TpchRow, Workload,
 };
 use dmamem::sweep::{MemoStats, ProfTotals, SweepCtx};
 use mempower::EnergyBreakdown;
-use simcore::obs::{LiveState, SpillSink};
+use simcore::obs::LiveState;
 
 /// Wall-clock time and engine accounting of one figure run.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,32 +211,6 @@ impl SweepRunner {
             }
         }
         run
-    }
-
-    /// The causally-traced runs (Figure-2 workloads plus a DMA-TA run),
-    /// with their baselines and traces memoized.
-    pub fn traced_runs(
-        &mut self,
-        exp: ExpConfig,
-        cp_limit: f64,
-        capacity: usize,
-    ) -> Vec<TracedRun> {
-        self.traced_runs_spill(exp, cp_limit, capacity, None)
-    }
-
-    /// [`traced_runs`](SweepRunner::traced_runs) with bounded-memory
-    /// spill armed on the exported DMA-TA run (see
-    /// [`dmamem::experiments::traced_runs_spill_ctx`]).
-    pub fn traced_runs_spill(
-        &mut self,
-        exp: ExpConfig,
-        cp_limit: f64,
-        capacity: usize,
-        spill: Option<SpillSink>,
-    ) -> Vec<TracedRun> {
-        self.timed("trace", |ctx| {
-            experiments::traced_runs_spill_ctx(ctx, exp, cp_limit, capacity, spill)
-        })
     }
 }
 

@@ -1246,9 +1246,10 @@ pub fn traced_runs_ctx(
 
 /// [`traced_runs_ctx`] with bounded-memory spill armed on the final
 /// DMA-TA-PL(2) run (the one whose trace `--trace-out` exports): records
-/// displaced from the `capacity`-record ring stream to `spill` instead
-/// of being dropped. The baseline-traced runs keep the plain ring — only
-/// the exported trace needs the full record stream.
+/// displaced from the `capacity`-record ring stream to `spill` in record
+/// order instead of being dropped, so the finalized sink holds the whole
+/// run's export. The baseline-traced runs keep the plain ring — only the
+/// exported trace needs the full record stream.
 pub fn traced_runs_spill_ctx(
     ctx: &SweepCtx,
     exp: ExpConfig,

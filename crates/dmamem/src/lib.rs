@@ -60,6 +60,6 @@ pub mod tracing;
 pub use config::{PlConfig, PolicyKind, Scheme, SystemConfig, TaConfig};
 pub use layout::PageMap;
 pub use metrics::SimResult;
-pub use obs::{replay_slack, RunObs, SimEvent, SlackReplay, SlackSummary};
+pub use obs::{replay_slack, RunObs, SimEvent, SlackReplay, SlackSummary, SlackTotals};
 pub use system::{ServerSimulator, ENGINE_QUEUE_KIND};
 pub use tracing::{attribution_json, RunAttribution, Tracer, WasteBuckets};

@@ -231,6 +231,26 @@ impl ChipActivity {
     }
 }
 
+/// The slack ledger's totals at the end of a run, carried by
+/// [`SimEvent::SlackClose`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlackTotals {
+    /// Total requests credited.
+    pub credited: u64,
+    /// Final balance.
+    pub balance_ps: f64,
+    /// Lowest balance observed.
+    pub min_ps: f64,
+    /// DMA-memory requests served.
+    pub served: u64,
+    /// Sum of per-request service times, in picoseconds.
+    pub service_sum_ps: u64,
+    /// The `mu` budget in force.
+    pub mu: f64,
+    /// Reference request time `T`, in picoseconds.
+    pub t_req_ps: u64,
+}
+
 /// One engine fact, as every observer consumes it.
 ///
 /// The exported variants (those whose kind is in [`EVENT_KINDS`]) are
@@ -239,7 +259,7 @@ impl ChipActivity {
 /// fields. The transfer-level variants after [`SimEvent::EpochTick`]
 /// feed the tracer and the metrics only; the event sink never records
 /// them.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
     /// A chip started a power-mode transition (`kind: "mode_transition"`).
     ModeTransition {
@@ -310,24 +330,13 @@ pub enum SimEvent {
         /// Account balance after the debit.
         balance_ps: f64,
     },
-    /// End-of-run ledger close (`kind: "slack_close"`).
+    /// End-of-run ledger close (`kind: "slack_close"`). Emitted once per
+    /// run, so its totals are boxed rather than widening every event.
     SlackClose {
         /// Simulation end time.
         at: SimTime,
-        /// Total requests credited.
-        credited: u64,
-        /// Final balance.
-        balance_ps: f64,
-        /// Lowest balance observed.
-        min_ps: f64,
-        /// DMA-memory requests served.
-        served: u64,
-        /// Sum of per-request service times, in picoseconds.
-        service_sum_ps: u64,
-        /// The `mu` budget in force.
-        mu: f64,
-        /// Reference request time `T`, in picoseconds.
-        t_req_ps: u64,
+        /// The ledger's totals.
+        totals: Box<SlackTotals>,
     },
     /// PL moved one page (`kind: "page_move"`).
     PageMove {
@@ -517,16 +526,16 @@ impl ObsEvent for SimEvent {
                     .field_f64("amount_ps", amount_ps)
                     .field_f64("balance_ps", balance_ps);
             }
-            SimEvent::SlackClose {
-                credited,
-                balance_ps,
-                min_ps,
-                served,
-                service_sum_ps,
-                mu,
-                t_req_ps,
-                ..
-            } => {
+            SimEvent::SlackClose { ref totals, .. } => {
+                let SlackTotals {
+                    credited,
+                    balance_ps,
+                    min_ps,
+                    served,
+                    service_sum_ps,
+                    mu,
+                    t_req_ps,
+                } = **totals;
                 obj.field_u64("credited", credited)
                     .field_f64("balance_ps", balance_ps)
                     .field_f64("min_ps", min_ps)
@@ -667,7 +676,7 @@ impl ObsMetrics {
                 self.slack_debits[cause as usize].record(amount_ps.max(0.0) as u64);
                 self.slack_balance.set(balance_ps);
             }
-            SimEvent::SlackClose { balance_ps, .. } => self.slack_balance.set(balance_ps),
+            SimEvent::SlackClose { ref totals, .. } => self.slack_balance.set(totals.balance_ps),
             SimEvent::PlPlan { moves, .. } => self.page_moves.add(moves as u64),
             SimEvent::EpochTick { .. } => self.epoch_ticks.inc(),
             SimEvent::RequestServed { service, .. } => {
@@ -796,11 +805,12 @@ impl Obs {
         if let Some(m) = &self.metrics {
             m.on(&ev);
         }
-        if let Some(log) = &mut self.log {
-            log.on(ev);
-        }
         if let Some(tr) = &mut self.tracer {
             tr.on(&ev);
+        }
+        // The log keeps the event, so it goes last.
+        if let Some(log) = &mut self.log {
+            log.on(ev);
         }
     }
 
@@ -956,22 +966,15 @@ pub fn replay_slack<'a>(events: impl IntoIterator<Item = &'a SimEvent>) -> Slack
                 r.balance_ps -= amount_ps;
                 check(r.balance_ps, balance_ps, &mut r.ledger_consistent);
             }
-            SimEvent::SlackClose {
-                credited,
-                balance_ps,
-                served,
-                service_sum_ps,
-                mu,
-                ..
-            } => {
+            SimEvent::SlackClose { ref totals, .. } => {
                 r.closed = true;
-                r.served = served;
-                r.service_sum_ps = service_sum_ps;
-                r.mu = mu;
-                if credited != r.credited {
+                r.served = totals.served;
+                r.service_sum_ps = totals.service_sum_ps;
+                r.mu = totals.mu;
+                if totals.credited != r.credited {
                     r.ledger_consistent = false;
                 }
-                check(r.balance_ps, balance_ps, &mut r.ledger_consistent);
+                check(r.balance_ps, totals.balance_ps, &mut r.ledger_consistent);
             }
             _ => {}
         }
@@ -1036,8 +1039,8 @@ mod tests {
     fn logged(chips: usize, events: &[SimEvent]) -> EventSink<SimEvent> {
         let mut obs = Obs::new(chips);
         obs.log = Some(EventLog::new(64));
-        for &ev in events {
-            obs.emit(ev);
+        for ev in events {
+            obs.emit(ev.clone());
         }
         let (run, _) = obs.finish(t(100), &simcore::EngineProfile::default());
         run.expect("event log attached").events
@@ -1122,7 +1125,7 @@ mod tests {
     fn sim_event_does_not_grow() {
         // The sink ring is preallocated at its full capacity: a wider
         // event widens every run's observability footprint.
-        assert!(std::mem::size_of::<SimEvent>() <= 72);
+        assert!(std::mem::size_of::<SimEvent>() <= 40);
     }
 
     #[test]
@@ -1150,13 +1153,15 @@ mod tests {
     fn replay_guarantee_matches_formula() {
         let close = SimEvent::SlackClose {
             at: t(100),
-            credited: 4,
-            balance_ps: 0.0,
-            min_ps: -5.0,
-            served: 4,
-            service_sum_ps: 40_000, // mean 10 ns
-            mu: 0.25,
-            t_req_ps: 8_000,
+            totals: Box::new(SlackTotals {
+                credited: 4,
+                balance_ps: 0.0,
+                min_ps: -5.0,
+                served: 4,
+                service_sum_ps: 40_000, // mean 10 ns
+                mu: 0.25,
+                t_req_ps: 8_000,
+            }),
         };
         let r = replay_slack([&close]);
         assert!(r.closed);
@@ -1276,13 +1281,15 @@ mod tests {
             },
             SimEvent::SlackClose {
                 at: probe,
-                credited: 0,
-                balance_ps: 0.0,
-                min_ps: 0.0,
-                served: 0,
-                service_sum_ps: 0,
-                mu: 0.0,
-                t_req_ps: 0,
+                totals: Box::new(SlackTotals {
+                    credited: 0,
+                    balance_ps: 0.0,
+                    min_ps: 0.0,
+                    served: 0,
+                    service_sum_ps: 0,
+                    mu: 0.0,
+                    t_req_ps: 0,
+                }),
             },
             SimEvent::PageMove {
                 at: probe,

@@ -34,6 +34,7 @@ use crate::layout::PageMap;
 use crate::metrics::SimResult;
 use crate::obs::{
     ChipActivity, DebitCause, EventLog, Obs, ObsMetrics, ReleaseCause, SimEvent, SlackSummary,
+    SlackTotals,
 };
 use crate::tracing::Tracer;
 
@@ -132,10 +133,10 @@ impl ServerSimulator {
     /// and open the file in Perfetto. See [`crate::tracing`].
     ///
     /// With a `spill` sink the tracer runs in bounded-memory spill mode:
-    /// records displaced from the span ring stream to the sink instead of
-    /// being dropped, and `dmamem.trace.spilled` / `dmamem.trace.dropped`
-    /// land in the metrics snapshot (when observability is on) so loss is
-    /// never silent.
+    /// records displaced from the span ring stream to the sink in record
+    /// order instead of being dropped, and `dmamem.trace.spilled` /
+    /// `dmamem.trace.dropped` land in the metrics snapshot (when
+    /// observability is on) so loss is never silent.
     ///
     /// # Panics
     ///
@@ -191,16 +192,13 @@ impl ServerSimulator {
                 m.mode_power_mw(PowerMode::Nap),
                 m.mode_power_mw(PowerMode::Powerdown),
             ];
-            let mut tracer = Tracer::new(
+            engine.obs.tracer = Some(Tracer::new(
                 *capacity,
                 self.config.chips,
                 self.config.buses.len(),
                 powers,
-            );
-            if let Some(sink) = spill {
-                tracer = tracer.with_spill(sink.clone());
-            }
-            engine.obs.tracer = Some(tracer);
+                spill.clone(),
+            ));
         }
         engine.run(trace)
     }
@@ -738,13 +736,15 @@ impl<'a> Engine<'a> {
         if let (Some(s), false) = (&self.slack, self.obs_quiet) {
             self.obs.emit(SimEvent::SlackClose {
                 at: horizon,
-                credited: s.credited_requests(),
-                balance_ps: s.slack_ps(),
-                min_ps: s.min_slack_ps(),
-                served: self.served,
-                service_sum_ps: self.service_sum_ps,
-                mu: s.mu(),
-                t_req_ps: self.config.t_request().as_ps(),
+                totals: Box::new(SlackTotals {
+                    credited: s.credited_requests(),
+                    balance_ps: s.slack_ps(),
+                    min_ps: s.min_slack_ps(),
+                    served: self.served,
+                    service_sum_ps: self.service_sum_ps,
+                    mu: s.mu(),
+                    t_req_ps: self.config.t_request().as_ps(),
+                }),
             });
         }
         let mut energy = EnergyBreakdown::new();

@@ -21,8 +21,11 @@
 //!   low-power) plus a power counter ([`COUNTER_POWER`]) sampled at
 //!   every mode transition.
 //!
-//! Export with [`TraceBuffer::to_chrome_json`] and load the file in
-//! [Perfetto](https://ui.perfetto.dev) (or `chrome://tracing`).
+//! Export with [`TraceBuffer::to_chrome_json`], or pass [`Tracer::new`] a
+//! [`SpillSink`] to stream every record into a file in record order
+//! while the ring stays bounded (what `experiments --trace-out` always
+//! does), and load the file in [Perfetto](https://ui.perfetto.dev) (or
+//! `chrome://tracing`).
 //!
 //! [`WasteBuckets`] and [`RunAttribution`] reduce a run's energy ledger
 //! to the paper's waste taxonomy — useful active, active-idle during
@@ -72,8 +75,8 @@ pub const SPAN_LOW_POWER: &str = "dmamem.trace.low_power";
 /// Chip-track counter: chip power draw in milliwatts, sampled at every
 /// mode transition.
 pub const COUNTER_POWER: &str = "dmamem.trace.power_mw";
-/// Run metric: trace records streamed to the spill sink instead of being
-/// dropped when the span ring overflowed (see
+/// Run metric: trace records streamed to the spill sink, in record order,
+/// instead of being dropped when the span ring overflowed (see
 /// [`TraceBuffer::arm_spill`](simcore::obs::trace::TraceBuffer::arm_spill)).
 pub const COUNTER_SPILLED: &str = "dmamem.trace.spilled";
 /// Run metric: trace records lost to ring overflow (no spill sink armed)
@@ -181,7 +184,18 @@ impl Tracer {
     /// A tracer with a `capacity`-record ring, one track per chip and per
     /// bus, and `mode_power_mw` giving the power draw of
     /// `[Active, Standby, Nap, Powerdown]` for the counter samples.
-    pub fn new(capacity: usize, chips: usize, buses: usize, mode_power_mw: [f64; 4]) -> Self {
+    ///
+    /// With a `spill` sink, records displaced from the ring stream to it
+    /// in record order instead of being dropped. The sink is armed once
+    /// the tracks are registered, so it receives a complete Chrome JSON
+    /// header, and before the first record, so it receives every record.
+    pub fn new(
+        capacity: usize,
+        chips: usize,
+        buses: usize,
+        mode_power_mw: [f64; 4],
+        spill: Option<SpillSink>,
+    ) -> Self {
         let mut buf = TraceBuffer::new(capacity);
         let chip_tracks: Vec<TrackId> = (0..chips)
             .map(|i| buf.add_track(format!("chip {i}"), TrackKind::Chip))
@@ -189,6 +203,9 @@ impl Tracer {
         let bus_tracks = (0..buses)
             .map(|i| buf.add_track(format!("io bus {i}"), TrackKind::Bus))
             .collect();
+        if let Some(sink) = spill {
+            buf.arm_spill(sink);
+        }
         // Chips boot settled in Active: seed each power counter so the
         // track has a defined value from time zero.
         for &t in &chip_tracks {
@@ -203,16 +220,6 @@ impl Tracer {
             transfers: TransferWindow::default(),
             last_start: None,
         }
-    }
-
-    /// Arms bounded-memory spill mode: records displaced from the ring
-    /// stream to `sink` instead of being dropped (open-span begins stay
-    /// resident until their end). Must be called before the run starts;
-    /// track registration has already happened in [`Tracer::new`], so the
-    /// sink receives a complete Chrome JSON header.
-    pub fn with_spill(mut self, sink: SpillSink) -> Self {
-        self.buf.arm_spill(sink);
-        self
     }
 
     /// Consumes one engine event: transfer-level facts drive the bus
@@ -700,7 +707,7 @@ mod tests {
     #[test]
     fn spill_armed_tracer_finalizes_to_ring_export() {
         let (sink, cell) = SpillSink::memory();
-        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]).with_spill(sink);
+        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0], Some(sink));
         feed(
             &mut tr,
             &[
@@ -720,7 +727,7 @@ mod tests {
 
     #[test]
     fn lockstep_transfer_produces_balanced_tree() {
-        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]);
+        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0], None);
         feed(
             &mut tr,
             &[
@@ -745,7 +752,7 @@ mod tests {
 
     #[test]
     fn gathered_transfer_gets_gather_and_release() {
-        let mut tr = Tracer::new(1 << 12, 2, 1, [300.0, 180.0, 30.0, 3.0]);
+        let mut tr = Tracer::new(1 << 12, 2, 1, [300.0, 180.0, 30.0, 3.0], None);
         feed(
             &mut tr,
             &[
@@ -780,7 +787,7 @@ mod tests {
 
     #[test]
     fn transfers_finish_out_of_tid_order() {
-        let mut tr = Tracer::new(1 << 12, 1, 2, [300.0, 180.0, 30.0, 3.0]);
+        let mut tr = Tracer::new(1 << 12, 1, 2, [300.0, 180.0, 30.0, 3.0], None);
         let mut script = vec![
             // Transfer 3 is held in the DMA-TA gather queue...
             started(t(1), 3, 0),
@@ -828,7 +835,7 @@ mod tests {
 
     #[test]
     fn chip_activity_spans_close_in_order() {
-        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]);
+        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0], None);
         feed(
             &mut tr,
             &[
@@ -855,7 +862,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_are_ignored() {
-        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0]);
+        let mut tr = Tracer::new(1 << 12, 1, 1, [300.0, 180.0, 30.0, 3.0], None);
         feed(
             &mut tr,
             &[

@@ -48,7 +48,7 @@ fn served(at: SimTime, is_last: bool) -> SimEvent {
 /// The scripted scenario, fed through the tracer's one entry point.
 /// Kept deliberately tiny so the golden file stays reviewable in a diff.
 fn scripted_trace() -> String {
-    let mut tr = Tracer::new(1 << 10, 2, 1, [300.0, 180.0, 30.0, 3.0]);
+    let mut tr = Tracer::new(1 << 10, 2, 1, [300.0, 180.0, 30.0, 3.0], None);
     let script = [
         // Chip 0 dozes while transfer 9 arrives on bus 0 and is gathered.
         activity(t(0), ChipActivity::LowPower),

@@ -1,7 +1,6 @@
 //! Structured sim-event tracing: a ring-buffered sink with JSONL export.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
 
 use super::json::JsonObject;
 
@@ -134,14 +133,6 @@ impl<E: ObsEvent> EventSink<E> {
             .map(|(seq, e)| (seq, Self::line(seq, e)))
     }
 
-    /// Writes the buffered events as JSONL (one JSON object per line).
-    pub fn export_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for (seq, e) in self.numbered() {
-            writeln!(w, "{}", Self::line(seq, e))?;
-        }
-        Ok(())
-    }
-
     /// The buffered events as a JSONL string.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -207,14 +198,5 @@ mod tests {
         // Lines match the JSONL export byte for byte.
         let joined: String = all.iter().map(|(_, l)| format!("{l}\n")).collect();
         assert_eq!(joined, sink.to_jsonl());
-    }
-
-    #[test]
-    fn export_matches_to_jsonl() {
-        let mut sink = EventSink::new(8);
-        sink.record(Probe { t: 5, label: "x" });
-        let mut bytes = Vec::new();
-        sink.export_jsonl(&mut bytes).unwrap();
-        assert_eq!(String::from_utf8(bytes).unwrap(), sink.to_jsonl());
     }
 }

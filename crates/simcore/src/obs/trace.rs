@@ -23,24 +23,26 @@
 //! The buffer is deterministic: identical call sequences produce
 //! byte-identical JSON, which the golden-file tests rely on.
 //!
-//! # Bounded-memory spill mode
+//! # Streaming export
 //!
-//! A fixed ring silently truncates long runs: once full, the oldest
-//! records vanish and the exported trace starts mid-story. Arming a
-//! [`SpillSink`] ([`TraceBuffer::arm_spill`]) turns eviction into
-//! *streaming*: displaced records are rendered and appended to the sink
-//! incrementally (the Chrome JSON header goes out at arm time, the
-//! footer at [`TraceBuffer::finalize_spill`]), so the file grows while
-//! memory stays bounded. Only records of still-open spans stay resident
-//! — a displaced `begin` whose span has not ended yet is *pinned* in a
-//! side list and written immediately before its `end`, keeping every
-//! span complete in the output. Loss is never silent: streamed records
-//! count in [`TraceBuffer::spilled`] and failed writes count in
+//! One writer renders every export, one line per record in record order.
+//! [`TraceBuffer::to_chrome_json`] runs it over the retained ring into
+//! memory. Arming a [`SpillSink`] ([`TraceBuffer::arm_spill`]) runs it
+//! incrementally instead: the Chrome JSON header goes out at arm time,
+//! each record the full ring displaces is written where it sits in the
+//! record stream, and [`TraceBuffer::finalize_spill`] writes the retained
+//! ring and the footer. The file grows while memory stays bounded, and a
+//! spilled run's file is byte-identical to the in-memory export of a ring
+//! large enough to hold the whole run. The writer keeps the render data
+//! of each span from its begin until its end is written, dense by span
+//! id. Loss is never silent: streamed records count in
+//! [`TraceBuffer::spilled`] and failed writes count in
 //! [`TraceBuffer::dropped`]. A file sink is buffered, so a write error
 //! surfaces when its buffer flushes: one failed flush counts once in
 //! `dropped` however many records it held, so loss is counted per flush.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -48,7 +50,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::time::SimTime;
 
-use super::json::JsonObject;
+use super::json::{escape_into, JsonObject};
 
 /// What a track represents; decides the span encoding on export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,8 +172,15 @@ impl SpillSink {
         let buf = Arc::new(Mutex::new(Vec::new()));
         (SpillSink::Memory(Arc::clone(&buf)), buf)
     }
+}
 
-    fn write(&self, bytes: &[u8]) -> io::Result<()> {
+impl Write for SpillSink {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.write_all(bytes)?;
+        Ok(bytes.len())
+    }
+
+    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
         match self {
             SpillSink::File(f) => f.lock().expect("spill file lock poisoned").write_all(bytes),
             SpillSink::Memory(m) => {
@@ -183,7 +192,7 @@ impl SpillSink {
         }
     }
 
-    fn flush(&self) -> io::Result<()> {
+    fn flush(&mut self) -> io::Result<()> {
         match self {
             SpillSink::File(f) => f.lock().expect("spill file lock poisoned").flush(),
             SpillSink::Memory(_) => Ok(()),
@@ -191,23 +200,205 @@ impl SpillSink {
     }
 }
 
+/// Render data of the spans a writer has begun and not yet ended, dense
+/// by id from `base`. A span still unended when [`SpanTable::WINDOW`]
+/// younger spans have begun moves to `parked`, so one long-lived span (a
+/// chip asleep for the whole run) does not hold the window open behind
+/// it.
+#[derive(Debug, Clone, Default)]
+struct SpanTable {
+    base: u64,
+    /// Spans `base..`; `None` once ended (or never begun here).
+    window: VecDeque<Option<SpanMeta>>,
+    /// Unended spans older than `base`, ascending by id.
+    parked: Vec<(u64, SpanMeta)>,
+}
+
+impl SpanTable {
+    const WINDOW: usize = 1 << 16;
+
+    fn get(&self, id: u64) -> Option<SpanMeta> {
+        match id.checked_sub(self.base) {
+            Some(i) => self.window.get(usize::try_from(i).ok()?).copied().flatten(),
+            None => self.parked_at(id).map(|i| self.parked[i].1),
+        }
+    }
+
+    fn parked_at(&self, id: u64) -> Option<usize> {
+        self.parked.binary_search_by_key(&id, |&(p, _)| p).ok()
+    }
+
+    /// Adds a begun span. Begins arrive in id order, so this appends.
+    fn insert(&mut self, id: u64, meta: SpanMeta) {
+        if self.window.is_empty() {
+            self.base = id;
+        }
+        let Some(i) = id
+            .checked_sub(self.base)
+            .and_then(|i| usize::try_from(i).ok())
+        else {
+            return;
+        };
+        if i >= self.window.len() {
+            self.window.resize(i + 1, None);
+        }
+        self.window[i] = Some(meta);
+        while self.window.len() > Self::WINDOW {
+            if let Some(Some(meta)) = self.window.pop_front() {
+                self.parked.push((self.base, meta));
+            }
+            self.base += 1;
+        }
+    }
+
+    /// Drops an ended span and advances past the ended front.
+    fn remove(&mut self, id: u64) {
+        match id.checked_sub(self.base) {
+            Some(i) => {
+                if let Some(slot) = usize::try_from(i).ok().and_then(|i| self.window.get_mut(i)) {
+                    *slot = None;
+                }
+                while let Some(None) = self.window.front() {
+                    self.window.pop_front();
+                    self.base += 1;
+                }
+            }
+            None => {
+                if let Some(i) = self.parked_at(id) {
+                    self.parked.remove(i);
+                }
+            }
+        }
+    }
+}
+
+/// The Chrome `trace_event` writer behind every export: the header, then
+/// one line per record in the order it is given them, then the footer.
+///
+/// A span's render data is learned from its begin and forgotten once its
+/// end is written. An end whose begin this writer never saw is not
+/// written, and a begin whose parent it never saw is its own async root,
+/// so the export of a ring that dropped its oldest records skips the
+/// ends of evicted begins, as a ring export always has.
+#[derive(Debug, Clone)]
+struct ChromeWriter<W> {
+    out: W,
+    spans: SpanTable,
+    /// Whether any event line has been written, for `",\n"` placement.
+    any: bool,
+    /// The line being rendered, reused across records.
+    line: String,
+}
+
+impl<W: Write> ChromeWriter<W> {
+    /// Writes the Chrome JSON opener and one `process_name` metadata line
+    /// per track into `out`.
+    fn open(mut out: W, tracks: &[Track]) -> (Self, io::Result<()>) {
+        let mut header = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+        for (i, track) in tracks.iter().enumerate() {
+            if i > 0 {
+                header.push_str(",\n");
+            }
+            let mut args = JsonObject::new();
+            args.field_str("name", &track.name);
+            let mut obj = JsonObject::new();
+            obj.field_str("name", "process_name")
+                .field_str("ph", "M")
+                .field_u64("pid", i as u64 + 1)
+                .field_raw("args", &args.finish());
+            header.push_str(&obj.finish());
+        }
+        let written = out.write_all(header.as_bytes());
+        let writer = ChromeWriter {
+            out,
+            spans: SpanTable::default(),
+            any: !tracks.is_empty(),
+            line: String::new(),
+        };
+        (writer, written)
+    }
+
+    /// Writes `rec` as one event line. `Ok(false)` means an end whose
+    /// begin this writer has not seen: nothing is written.
+    fn record(&mut self, names: &[&str], tracks: &[Track], rec: &Record) -> io::Result<bool> {
+        // A span record's root and its async and sync phases.
+        let (track, name, at, span) = match *rec {
+            Record::Begin {
+                id,
+                parent,
+                track,
+                name,
+                at,
+            } => {
+                let root = parent
+                    .checked_sub(1)
+                    .and_then(|p| self.spans.get(p))
+                    .map_or(id, |m| m.root);
+                self.spans.insert(id, SpanMeta { track, name, root });
+                (track, name, at, Some((root, "b", "B")))
+            }
+            Record::End { id, at } => {
+                let Some(SpanMeta { track, name, root }) = self.spans.get(id) else {
+                    return Ok(false);
+                };
+                self.spans.remove(id);
+                (track, name, at, Some((root, "e", "E")))
+            }
+            Record::Instant { track, name, at }
+            | Record::Counter {
+                track, name, at, ..
+            } => (track, name, at, None),
+        };
+        let line = &mut self.line;
+        line.clear();
+        if self.any {
+            line.push_str(",\n");
+        }
+        self.any = true;
+        line.push_str("{\"name\":\"");
+        escape_into(line, names[name as usize]);
+        line.push('"');
+        let bus = tracks.get(track.0 as usize).map(|t| t.kind) == Some(TrackKind::Bus);
+        // Writing into a `String` cannot fail.
+        let _ = match (span, rec) {
+            (Some((root, ph, _)), _) if bus => write!(
+                line,
+                ",\"cat\":\"transfer\",\"ph\":\"{ph}\",\"id\":\"{root:#x}\""
+            ),
+            (Some((_, _, ph)), _) => write!(line, ",\"cat\":\"chip\",\"ph\":\"{ph}\""),
+            (None, Record::Instant { .. }) => write!(line, ",\"ph\":\"i\",\"s\":\"t\""),
+            (None, _) => write!(line, ",\"ph\":\"C\""),
+        };
+        let ts = at.as_ps() as f64 / 1e6;
+        let pid = u64::from(track.0) + 1;
+        let _ = write!(line, ",\"ts\":{ts},\"pid\":{pid},\"tid\":0");
+        if let Record::Counter { value, .. } = *rec {
+            // JSON has no NaN or infinity.
+            let _ = if value.is_finite() {
+                write!(line, ",\"args\":{{\"value\":{value}}}")
+            } else {
+                write!(line, ",\"args\":{{\"value\":null}}")
+            };
+        }
+        line.push('}');
+        self.out.write_all(line.as_bytes())?;
+        Ok(true)
+    }
+
+    /// Writes the footer and flushes.
+    fn close(&mut self) -> io::Result<()> {
+        self.out.write_all(b"\n]}\n")?;
+        self.out.flush()
+    }
+}
+
 /// Incremental-export state for an armed spill sink.
 #[derive(Debug, Clone)]
 struct Spill {
-    sink: SpillSink,
-    /// Displaced `begin` records whose spans are still open: kept
-    /// resident (bounded by the open-span count) and written right
-    /// before their `end`.
-    pinned: Vec<Record>,
-    /// Render data of every span begun since arming whose `end` has not
-    /// streamed out yet, for `end` records whose `begin` left the ring.
-    info: BTreeMap<u64, SpanMeta>,
-    /// Whether any event line (metadata or record) has been written,
-    /// for `",\n"` separator placement.
-    any: bool,
+    writer: ChromeWriter<SpillSink>,
     /// Records streamed to the sink.
     spilled: u64,
-    /// Whether the closing `]}` has been written.
+    /// Whether the footer has been written.
     finalized: bool,
 }
 
@@ -304,7 +495,7 @@ impl TraceBuffer {
         if self.records.len() == self.capacity {
             if let Some(oldest) = self.records.pop_front() {
                 if self.spill_armed() {
-                    self.spill_record(oldest);
+                    self.spill_record(&oldest);
                 } else {
                     self.dropped += 1;
                 }
@@ -313,130 +504,50 @@ impl TraceBuffer {
         self.records.push_back(record);
     }
 
-    /// Streams one displaced record to the armed sink. A `begin` whose
-    /// span is still open is pinned instead (written right before its
-    /// `end`), so every span in the output stays complete.
-    fn spill_record(&mut self, rec: Record) {
-        match rec {
-            Record::Begin { id, .. } if self.open.binary_search(&id).is_ok() => {
-                if let Some(sp) = &mut self.spill {
-                    sp.pinned.push(rec);
-                }
-            }
-            Record::End { id, .. } => {
-                let begin = self.spill.as_mut().and_then(|sp| {
-                    sp.pinned
-                        .iter()
-                        .position(|p| matches!(*p, Record::Begin { id: pid, .. } if pid == id))
-                        .map(|pos| sp.pinned.remove(pos))
-                });
-                if let Some(b) = begin {
-                    self.spill_line(&b);
-                }
-                self.spill_line(&rec);
-                // The span is fully written; its render info can go.
-                if let Some(sp) = &mut self.spill {
-                    sp.info.remove(&id);
-                }
-            }
-            _ => self.spill_line(&rec),
-        }
-    }
-
-    /// Renders and appends one record line to the sink; failed writes
-    /// and unrenderable ends count in `dropped` so loss is observable.
-    fn spill_line(&mut self, rec: &Record) {
-        let line = match &self.spill {
-            Some(sp) => self.record_line(rec, |id| sp.info.get(&id).copied()),
-            None => return,
-        };
-        let Some(line) = line else {
-            // An end whose begin predates arming: nothing to render.
-            self.dropped += 1;
-            return;
-        };
+    /// Writes one record to the armed sink; failed writes and ends whose
+    /// begin predates arming count in `dropped`, so loss is observable.
+    fn spill_record(&mut self, rec: &Record) {
         let Some(sp) = &mut self.spill else { return };
-        let mut payload = String::new();
-        if sp.any {
-            payload.push_str(",\n");
-        }
-        sp.any = true;
-        payload.push_str(&line);
-        let ok = sp.sink.write(payload.as_bytes()).is_ok();
-        if ok {
-            sp.spilled += 1;
-        } else {
-            self.dropped += 1;
+        match sp.writer.record(&self.names, &self.tracks, rec) {
+            Ok(true) => sp.spilled += 1,
+            Ok(false) | Err(_) => self.dropped += 1,
         }
     }
 
     /// Arms bounded-memory spill mode: the Chrome JSON header and track
     /// metadata go to `sink` immediately, and every record later
     /// displaced from the ring streams there instead of being dropped.
-    /// Arm *after* registering all tracks (the header names them), and
-    /// close the file with [`TraceBuffer::finalize_spill`].
+    /// Arm *after* registering all tracks (the header names them) and
+    /// before recording, and close the file with
+    /// [`TraceBuffer::finalize_spill`].
     pub fn arm_spill(&mut self, sink: SpillSink) {
-        // Seed render info from anything already retained, so arming
-        // mid-run still renders those spans' ends.
-        let mut info: BTreeMap<u64, SpanMeta> = BTreeMap::new();
-        for rec in &self.records {
-            if let Record::Begin {
-                id,
-                parent,
-                track,
-                name,
-                ..
-            } = *rec
-            {
-                let root = parent
-                    .checked_sub(1)
-                    .and_then(|p| info.get(&p))
-                    .map_or(id, |m| m.root);
-                info.insert(id, SpanMeta { track, name, root });
-            }
-        }
-        let header = self.chrome_header();
-        if sink.write(header.as_bytes()).is_err() {
+        let (writer, header) = ChromeWriter::open(sink, &self.tracks);
+        if header.is_err() {
             self.dropped += 1;
         }
         self.spill = Some(Spill {
-            sink,
-            pinned: Vec::new(),
-            info,
-            any: !self.tracks.is_empty(),
+            writer,
             spilled: 0,
             finalized: false,
         });
     }
 
-    /// Flushes every retained record to the armed sink (pinned `begin`s
-    /// ahead of their `end`s), appends the Chrome JSON footer, flushes
-    /// the sink, and returns the total records streamed. The ring itself
-    /// is left intact. Idempotent: a second call (or a call with no sink
-    /// armed) does nothing and returns the prior total.
+    /// Writes every retained record to the armed sink, appends the Chrome
+    /// JSON footer, flushes the sink, and returns the total records
+    /// streamed. The ring itself is left intact. Idempotent: a second
+    /// call (or a call with no sink armed) does nothing and returns the
+    /// prior total.
     pub fn finalize_spill(&mut self) -> u64 {
-        match &self.spill {
-            Some(sp) if !sp.finalized => {}
-            _ => return self.spilled(),
+        if !self.spill_armed() {
+            return self.spilled();
         }
-        let retained: Vec<Record> = self.records.iter().copied().collect();
-        for rec in retained {
+        let retained = std::mem::take(&mut self.records);
+        for rec in &retained {
             self.spill_record(rec);
         }
-        // Spans that never ended: write their pinned begins so the sink
-        // holds every record the buffer ever saw.
-        let leftover = match &mut self.spill {
-            Some(sp) => std::mem::take(&mut sp.pinned),
-            None => Vec::new(),
-        };
-        for rec in leftover {
-            self.spill_line(&rec);
-        }
+        self.records = retained;
         if let Some(sp) = &mut self.spill {
-            if sp.sink.write(b"\n]}\n").is_err() {
-                self.dropped += 1;
-            }
-            if sp.sink.flush().is_err() {
+            if sp.writer.close().is_err() {
                 self.dropped += 1;
             }
             sp.finalized = true;
@@ -460,12 +571,6 @@ impl TraceBuffer {
         self.next_span += 1;
         self.open.push(id);
         let name = self.intern(name);
-        if let Some(sp) = &mut self.spill {
-            let root = parent
-                .and_then(|p| sp.info.get(&p.0))
-                .map_or(id, |m| m.root);
-            sp.info.insert(id, SpanMeta { track, name, root });
-        }
         self.push(Record::Begin {
             id,
             parent: parent.map_or(0, |p| p.0 + 1),
@@ -628,158 +733,20 @@ impl TraceBuffer {
         self.tracks.get(track.0 as usize).map(|t| t.kind)
     }
 
-    /// Exports the Chrome `trace_event` JSON that Perfetto and
-    /// `chrome://tracing` open directly. One event per line inside the
-    /// `traceEvents` array; byte-identical for identical record sequences.
+    /// Exports the retained records as the Chrome `trace_event` JSON that
+    /// Perfetto and `chrome://tracing` open directly, through the same
+    /// writer a spill sink streams through. One event per line inside the
+    /// `traceEvents` array; byte-identical for identical record
+    /// sequences. An end whose begin has left the ring is skipped (with a
+    /// spill sink armed, the sink holds the whole run).
     pub fn to_chrome_json(&self) -> String {
-        let mut out = self.chrome_header();
-        let mut any = !self.tracks.is_empty();
-        let push = |out: &mut String, line: String, any: &mut bool| {
-            if *any {
-                out.push_str(",\n");
-            }
-            *any = true;
-            out.push_str(&line);
-        };
-        // Resolve each span id to its name, track, and root ancestor so
-        // end events (and async keys) can be emitted without re-scanning:
-        // retained begins by id relative to the oldest one, older spans
-        // through an armed spill sink's map (their begins may already
-        // have streamed out of the ring).
-        let first = self.first_retained_span();
-        let spill_info = self.spill.as_ref().map(|sp| &sp.info);
-        let lookup = |metas: &[Option<SpanMeta>], id: u64| {
-            id.checked_sub(first)
-                .and_then(|i| usize::try_from(i).ok())
-                .and_then(|i| metas.get(i).copied().flatten())
-                .or_else(|| spill_info.and_then(|info| info.get(&id).copied()))
-        };
-        let mut metas: Vec<Option<SpanMeta>> = vec![None; (self.next_span - first) as usize];
+        // Writing into a `Vec` cannot fail.
+        let (mut w, _) = ChromeWriter::open(Vec::new(), &self.tracks);
         for rec in &self.records {
-            if let Record::Begin {
-                id,
-                parent,
-                track,
-                name,
-                ..
-            } = *rec
-            {
-                let root = parent
-                    .checked_sub(1)
-                    .and_then(|p| lookup(&metas, p))
-                    .map_or(id, |m| m.root);
-                metas[(id - first) as usize] = Some(SpanMeta { track, name, root });
-            }
+            let _ = w.record(&self.names, &self.tracks, rec);
         }
-        for rec in &self.records {
-            // Ends whose begins were evicted have no track/name to
-            // render under; skip them, as the ring export always has.
-            if let Some(line) = self.record_line(rec, |id| lookup(&metas, id)) {
-                push(&mut out, line, &mut any);
-            }
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
-    /// The Chrome JSON opener and one `process_name` metadata line per
-    /// track, comma-separated, with no separator after the last one. Both
-    /// the in-memory export and the spill sink start with it.
-    fn chrome_header(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, track) in self.tracks.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let mut args = JsonObject::new();
-            args.field_str("name", &track.name);
-            let mut obj = JsonObject::new();
-            obj.field_str("name", "process_name")
-                .field_str("ph", "M")
-                .field_u64("pid", i as u64 + 1)
-                .field_raw("args", &args.finish());
-            out.push_str(&obj.finish());
-        }
-        out
-    }
-
-    /// Renders one record as its Chrome `trace_event` JSON line,
-    /// resolving span ids through `meta`. Returns `None` for an end whose
-    /// begin is unknown.
-    fn record_line(&self, rec: &Record, meta: impl Fn(u64) -> Option<SpanMeta>) -> Option<String> {
-        let line = match *rec {
-            Record::Begin {
-                id,
-                track,
-                name,
-                at,
-                ..
-            } => {
-                let mut obj = JsonObject::new();
-                obj.field_str("name", self.names[name as usize]);
-                match self.track_kind(track) {
-                    Some(TrackKind::Bus) => {
-                        let root = meta(id).map_or(id, |m| m.root);
-                        obj.field_str("cat", "transfer")
-                            .field_str("ph", "b")
-                            .field_str("id", &format!("{root:#x}"));
-                    }
-                    _ => {
-                        obj.field_str("cat", "chip").field_str("ph", "B");
-                    }
-                }
-                self.stamp(&mut obj, track, at);
-                obj.finish()
-            }
-            Record::End { id, at } => {
-                let SpanMeta { track, name, root } = meta(id)?;
-                let mut obj = JsonObject::new();
-                obj.field_str("name", self.names[name as usize]);
-                match self.track_kind(track) {
-                    Some(TrackKind::Bus) => {
-                        obj.field_str("cat", "transfer")
-                            .field_str("ph", "e")
-                            .field_str("id", &format!("{root:#x}"));
-                    }
-                    _ => {
-                        obj.field_str("cat", "chip").field_str("ph", "E");
-                    }
-                }
-                self.stamp(&mut obj, track, at);
-                obj.finish()
-            }
-            Record::Instant { track, name, at } => {
-                let mut obj = JsonObject::new();
-                obj.field_str("name", self.names[name as usize])
-                    .field_str("ph", "i")
-                    .field_str("s", "t");
-                self.stamp(&mut obj, track, at);
-                obj.finish()
-            }
-            Record::Counter {
-                track,
-                name,
-                at,
-                value,
-            } => {
-                let mut args = JsonObject::new();
-                args.field_f64("value", value);
-                let mut obj = JsonObject::new();
-                obj.field_str("name", self.names[name as usize])
-                    .field_str("ph", "C");
-                self.stamp(&mut obj, track, at);
-                obj.field_raw("args", &args.finish());
-                obj.finish()
-            }
-        };
-        Some(line)
-    }
-
-    /// Appends the shared `ts`/`pid`/`tid` fields for a record on `track`.
-    fn stamp(&self, obj: &mut JsonObject, track: TrackId, at: SimTime) {
-        obj.field_f64("ts", at.as_ps() as f64 / 1e6)
-            .field_u64("pid", track.0 as u64 + 1)
-            .field_u64("tid", 0);
+        let _ = w.close();
+        String::from_utf8(w.out).expect("the writer emits UTF-8")
     }
 }
 
@@ -955,10 +922,13 @@ mod tests {
         let child = buf.begin(bus, "wakeup", t(2_000_000), Some(root));
         let act = buf.begin(chip, "serving", t(2_000_000), None);
         buf.counter(chip, "power_mw", t(2_000_000), 300.0);
+        buf.counter(chip, "power_mw", t(2_500_000), f64::NAN);
         buf.end(act, t(3_000_000));
         buf.end(child, t(3_000_000));
         buf.end(root, t(4_000_000));
         let json = buf.to_chrome_json();
+        // JSON has no NaN: a non-finite sample exports as null.
+        assert!(json.contains(r#""args":{"value":null}"#));
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"));
         assert!(json.contains(r#""ph":"M""#));
         assert!(json.contains(r#""name":"io bus 0""#));
@@ -980,35 +950,44 @@ mod tests {
     }
 
     #[test]
-    fn ample_capacity_spill_matches_ring_export() {
-        // With no overflow, the finalized spill file must be byte-identical
-        // to the in-memory export: spill mode only changes *where* records
-        // live, never what the trace says.
-        let build = |spill: Option<SpillSink>| {
-            let mut buf = TraceBuffer::new(1024);
+    fn spill_streams_the_ample_ring_export() {
+        // Spill mode only changes *where* records live, never what the
+        // trace says: at any ring capacity the finalized spill file is
+        // byte-identical to the in-memory export of a ring that holds
+        // everything, spans open across many displacements included.
+        let build = |capacity: usize, spill: Option<SpillSink>| {
+            let mut buf = TraceBuffer::new(capacity);
             let chip = buf.add_track("chip 0", TrackKind::Chip);
             let bus = buf.add_track("io bus 0", TrackKind::Bus);
             if let Some(sink) = spill {
                 buf.arm_spill(sink);
             }
-            let root = buf.begin(bus, "transfer", t(1_000_000), None);
-            let child = buf.begin(bus, "wakeup", t(2_000_000), Some(root));
-            let act = buf.begin(chip, "serving", t(2_000_000), None);
-            buf.counter(chip, "power_mw", t(2_000_000), 300.0);
-            buf.instant(bus, "released", t(2_500_000));
-            buf.end(act, t(3_000_000));
-            buf.end(child, t(3_000_000));
-            buf.end(root, t(4_000_000));
-            buf.finish(t(5_000_000));
+            let idle = buf.begin(chip, "low_power", t(0), None);
+            for i in 0..30 {
+                let root = buf.begin(bus, "transfer", t(10 * i), None);
+                let child = buf.begin(bus, "wakeup", t(10 * i + 1), Some(root));
+                buf.counter(chip, "power_mw", t(10 * i + 2), i as f64);
+                buf.end(child, t(10 * i + 3));
+                buf.instant(bus, "released", t(10 * i + 3));
+                if i % 3 != 0 {
+                    buf.end(root, t(10 * i + 4));
+                }
+            }
+            buf.end(idle, t(400));
+            buf.finish(t(500));
             buf
         };
-        let plain = build(None).to_chrome_json();
-        let (sink, bytes) = SpillSink::memory();
-        let mut spilled = build(Some(sink));
-        let n = spilled.finalize_spill();
-        assert_eq!(spill_text(&bytes), plain);
-        assert_eq!(n, spilled.spilled());
-        assert_eq!(spilled.dropped(), 0);
+        let plain = build(1024, None);
+        assert_eq!(plain.dropped(), 0);
+        let plain = plain.to_chrome_json();
+        for capacity in [1024, 16] {
+            let (sink, bytes) = SpillSink::memory();
+            let mut spilled = build(capacity, Some(sink));
+            let n = spilled.finalize_spill();
+            assert_eq!(spill_text(&bytes), plain, "capacity {capacity}");
+            assert_eq!(n, spilled.spilled());
+            assert_eq!(spilled.dropped(), 0);
+        }
     }
 
     #[test]
@@ -1068,7 +1047,7 @@ mod tests {
     }
 
     #[test]
-    fn open_span_begins_are_pinned_until_their_end() {
+    fn displaced_open_begin_is_written_in_place() {
         let (sink, bytes) = SpillSink::memory();
         let mut buf = TraceBuffer::new(16);
         let bus = buf.add_track("io bus 0", TrackKind::Bus);
@@ -1083,17 +1062,20 @@ mod tests {
         for (i, id) in ids.into_iter().enumerate() {
             buf.end(id, t(50 + i as u64));
         }
-        // The root's begin was displaced while open: not yet written.
+        // The root's begin was displaced while open: written already, in
+        // its place at the head of the record stream.
+        let begin = r#""name":"transfer","cat":"transfer","ph":"b""#;
         let before = spill_text(&bytes);
-        assert!(!before.contains(r#""name":"transfer""#), "{before}");
+        // Line 0 opens the document and line 1 names the track.
+        let first = before.lines().nth(2).expect("a record line");
+        assert!(first.starts_with(&format!("{{{begin}")), "{before}");
         buf.end(root, t(200));
         buf.finalize_spill();
         let text = spill_text(&bytes);
         // Begin appears exactly once, before its end.
-        let begin_at = text.find(r#""name":"transfer","cat":"transfer","ph":"b""#);
+        assert_eq!(text.matches(begin).count(), 1);
         let end_at = text.find(r#""name":"transfer","cat":"transfer","ph":"e""#);
-        let (begin_at, end_at) = (begin_at.expect("root begin"), end_at.expect("root end"));
-        assert!(begin_at < end_at);
+        assert!(text.find(begin) < end_at && end_at.is_some());
         assert!(super::super::json::parse(&text).is_ok());
         assert_eq!(buf.dropped(), 0);
     }

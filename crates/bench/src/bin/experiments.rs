@@ -55,6 +55,7 @@
 
 use std::env;
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -348,7 +349,9 @@ fn main() -> ExitCode {
         print!("{}", bench::obs_summary_table(&run));
         let obs = run.result.obs.as_ref().expect("instrumented run");
         if let Some(path) = &events_out {
-            match fs::write(path, obs.events.to_jsonl()) {
+            let written =
+                fs::File::create(path).and_then(|f| obs.events.write_jsonl(io::BufWriter::new(f)));
+            match written {
                 Ok(()) => println!("(events written to {})", path.display()),
                 Err(e) => {
                     eprintln!("error: cannot write {}: {e}", path.display());

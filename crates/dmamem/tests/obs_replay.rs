@@ -214,6 +214,8 @@ fn engine_exports_match_pinned_digests() {
     let traced = sim.with_tracing(1 << 20, None).run(&trace);
     let buf = traced.trace.expect("tracing requested");
     assert_eq!(buf.dropped(), 0, "span ring overflowed");
+    let stats = buf.validate().expect("valid span tree");
+    assert_eq!((stats.spans, stats.open), (PINNED_SPANS, 0));
     let chrome = buf.to_chrome_json();
 
     let got = [
@@ -231,12 +233,15 @@ fn engine_exports_match_pinned_digests() {
 const PINNED_EVENTS: u64 = 0xfc72_eea2_7cdf_f028;
 const PINNED_METRICS: u64 = 0xf03a_0d1b_27f4_df8b;
 const PINNED_TRACE: u64 = 0x2e28_055c_d842_03e7;
+/// Spans the pinned run begins.
+const PINNED_SPANS: usize = 246_919;
 
 /// Pins the span ring past its capacity, where the full-size run above
 /// cannot reach: the export of a ring that dropped its oldest records,
 /// the streamed bytes of a ring that spilled them, and both rings'
 /// span-tree statistics. A spilled run streams its records in record
-/// order, so its bytes are the full-size run's export.
+/// order, so its bytes are the full-size run's export, and they pass the
+/// checks on their way out, so its statistics cover the whole run.
 #[test]
 fn overflowed_and_spilled_rings_match_pinned_digests() {
     let (sim, trace) = pinned_sim();
@@ -274,7 +279,7 @@ const PINNED_DROPPED_STATS: TraceStats = TraceStats {
 };
 const PINNED_SPILL_STATS: TraceStats = TraceStats {
     records: 1024,
-    spans: 494,
+    spans: PINNED_SPANS,
     open: 0,
     dropped: 0,
 };
@@ -282,7 +287,8 @@ const PINNED_SPILLED: u64 = 494_152;
 
 /// The spill sink is armed before the tracer seeds its boot power
 /// counters, so even a 16-record ring, smaller than the paper system's
-/// 32 chips, streams every record of the run.
+/// 32 chips, streams every record of the run, and validation checks the
+/// whole run as strictly as a ring that held it.
 #[test]
 fn smallest_spilling_ring_loses_no_boot_counter() {
     let (sim, trace) = pinned_sim();
@@ -293,6 +299,14 @@ fn smallest_spilling_ring_loses_no_boot_counter() {
     assert_eq!(spilled.dropped(), 0, "spill lost records");
     let bytes = bytes.lock().expect("spill buffer");
     assert_eq!(fnv1a64(&bytes), PINNED_TRACE, "spilled bytes changed");
+    let stats = spilled.validate().expect("valid span tree");
+    let whole = TraceStats {
+        records: 16,
+        spans: PINNED_SPANS,
+        open: 0,
+        dropped: 0,
+    };
+    assert_eq!(stats, whole);
 }
 
 /// The consumers share one stream and do not perturb each other: with

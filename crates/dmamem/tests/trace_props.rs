@@ -2,13 +2,15 @@
 //! nest for every workload seed and worker-thread count, the exported
 //! trace must be byte-identical at any thread count, and a spilling ring
 //! of any size must stream the export of a ring that holds the whole run.
+//! Random call sequences check the span ring's packed records against a
+//! plain model of the record stream.
 
 use dmamem::experiments::{traced_runs_ctx, traced_runs_spill_ctx, ExpConfig};
 use dmamem::sweep::SweepCtx;
 use dmamem::tracing::attribution_json;
 use proptest::prelude::*;
-use simcore::obs::SpillSink;
-use simcore::SimDuration;
+use simcore::obs::{SpanId, SpillSink, TraceBuffer, TraceStats, TrackKind};
+use simcore::{SimDuration, SimTime};
 
 fn exp(ms_tenths: u64, seed: u64) -> ExpConfig {
     ExpConfig {
@@ -101,4 +103,192 @@ fn trace_export_is_thread_count_invariant() {
     assert_eq!(a1, a8);
     assert_eq!(t1, t2);
     assert_eq!(t1, t8);
+}
+
+/// One record of the model stream: what a begin or end says about its
+/// span, for predicting what survives in a ring's tail.
+#[derive(Debug, Clone, Copy)]
+enum Modelled {
+    Begin { parent: Option<usize>, bus: bool },
+    End { span: usize },
+    Other,
+}
+
+/// Replays `ops` into a `capacity`-record buffer with two chip and two
+/// bus tracks, and returns it with the model of the records it was given
+/// (spans numbered in begin order).
+///
+/// Each op is `(kind, pick, step)`: `step` advances the clock, `kind`
+/// chooses a bus begin, a chip begin, an end, an instant or a counter,
+/// and `pick` chooses the track, the parent (a random open span, or
+/// none) or the span to end (any open bus span or any chip's innermost
+/// span). Counter samples are distinct. With `finish`, the open spans
+/// are closed at the end.
+fn replay(
+    ops: &[(u8, u64, u64)],
+    finish: bool,
+    capacity: usize,
+    spill: Option<SpillSink>,
+) -> (TraceBuffer, Vec<Modelled>) {
+    let mut buf = TraceBuffer::new(capacity);
+    let chips = [0, 1].map(|i| buf.add_track(format!("chip {i}"), TrackKind::Chip));
+    let buses = [0, 1].map(|i| buf.add_track(format!("io bus {i}"), TrackKind::Bus));
+    if let Some(sink) = spill {
+        buf.arm_spill(sink);
+    }
+    let mut model = Vec::new();
+    let mut spans: Vec<SpanId> = Vec::new();
+    let mut open: Vec<usize> = Vec::new();
+    let mut chip_stacks = [Vec::new(), Vec::new()];
+    let mut now = 0u64;
+    for (i, &(kind, pick, step)) in ops.iter().enumerate() {
+        now += step;
+        let at = SimTime::from_ps(now);
+        let p = pick as usize;
+        match kind {
+            0..=2 => {
+                let parent =
+                    (!p.is_multiple_of(3) && !open.is_empty()).then(|| open[p / 3 % open.len()]);
+                let bus = kind < 2;
+                let track = if bus { buses[p % 2] } else { chips[p % 2] };
+                let id = buf.begin(track, "span", at, parent.map(|s| spans[s]));
+                let span = spans.len();
+                spans.push(id);
+                open.push(span);
+                if !bus {
+                    chip_stacks[p % 2].push(span);
+                }
+                model.push(Modelled::Begin { parent, bus });
+            }
+            3..=4 if !open.is_empty() => {
+                let span = open[p % open.len()];
+                // A chip span ends only when it is its chip's innermost.
+                if let Some(stack) = chip_stacks.iter_mut().find(|s| s.contains(&span)) {
+                    if stack.last() != Some(&span) {
+                        continue;
+                    }
+                    stack.pop();
+                }
+                open.retain(|&s| s != span);
+                buf.end(spans[span], at);
+                model.push(Modelled::End { span });
+            }
+            5 => {
+                buf.instant(chips[p % 2], "mark", at);
+                model.push(Modelled::Other);
+            }
+            6 => {
+                buf.counter(buses[p % 2], "level", at, i as f64 + 0.25);
+                model.push(Modelled::Other);
+            }
+            _ => {}
+        }
+    }
+    if finish {
+        open.sort_unstable();
+        for &span in open.iter().rev() {
+            model.push(Modelled::End { span });
+        }
+        buf.finish(SimTime::from_ps(now));
+    }
+    (buf, model)
+}
+
+/// The export and statistics that a ring holding the last `capacity`
+/// records of `model` must give, derived from `whole`, the export of a
+/// ring that held every record: each record keeps its line, except that
+/// an end whose begin fell out of the tail is not written and a bus span
+/// whose ancestors fell out is keyed by its oldest ancestor left.
+fn tail_of(whole: &str, model: &[Modelled], capacity: usize) -> (String, TraceStats) {
+    let mut lines: Vec<&str> = whole.lines().collect();
+    let (head, footer) = (lines.remove(0), lines.pop());
+    assert_eq!(footer, Some("]}"));
+    let lines: Vec<&str> = lines.iter().map(|l| l.trim_end_matches(',')).collect();
+    let (tracks, records) = lines.split_at(lines.len() - model.len());
+    let begins: Vec<usize> = (0..model.len())
+        .filter(|&k| matches!(model[k], Modelled::Begin { .. }))
+        .collect();
+    let parent = |span: usize| match model[begins[span]] {
+        Modelled::Begin { parent, .. } => parent,
+        _ => unreachable!("begins index begin records"),
+    };
+    let first = model.len().saturating_sub(capacity);
+    let root_from = |mut span: usize, cut: usize| {
+        while let Some(p) = parent(span).filter(|&p| begins[p] >= cut) {
+            span = p;
+        }
+        span
+    };
+    let mut kept: Vec<String> = tracks.iter().map(|l| l.to_string()).collect();
+    let (mut spans, mut ended) = (0, 0);
+    for (k, rec) in model.iter().enumerate().skip(first) {
+        let span = match *rec {
+            Modelled::Begin { .. } => {
+                spans += 1;
+                begins.iter().position(|&b| b == k)
+            }
+            Modelled::End { span } if begins[span] >= first => {
+                ended += 1;
+                Some(span)
+            }
+            Modelled::End { .. } => continue,
+            Modelled::Other => None,
+        };
+        let bus =
+            span.is_some_and(|s| matches!(model[begins[s]], Modelled::Begin { bus: true, .. }));
+        let line = match span.filter(|_| bus) {
+            Some(s) => {
+                let key = |root: usize| format!("\"id\":\"{root:#x}\"");
+                records[k].replace(&key(root_from(s, 0)), &key(root_from(s, first)))
+            }
+            None => records[k].to_string(),
+        };
+        kept.push(line);
+    }
+    let text = format!("{head}\n{}\n]}}\n", kept.join(",\n"));
+    let stats = TraceStats {
+        records: model.len() - first,
+        spans,
+        open: spans - ended,
+        dropped: first as u64,
+    };
+    (text, stats)
+}
+
+proptest! {
+    /// The packed records of a small ring say what the plain record
+    /// stream says: a ring of any capacity from 16 to 256 exports the
+    /// tail of a 2^16-record ring that held the same calls, and
+    /// validates to the tail's statistics. Spilled through a sink, the
+    /// same ring streams the whole export and validates the whole run.
+    #[test]
+    fn small_rings_keep_the_tail_of_the_record_stream(
+        ops in prop::collection::vec((0u8..8, 0u64..1 << 20, 0u64..3), 1..600),
+        capacity in 16usize..257,
+        finish in any::<bool>(),
+    ) {
+        let (whole, model) = replay(&ops, finish, 1 << 16, None);
+        prop_assert_eq!(whole.dropped(), 0);
+        let whole_json = whole.to_chrome_json();
+        let whole_stats = whole.validate().map_err(TestCaseError::fail)?;
+        let (tail_json, tail_stats) = tail_of(&whole_json, &model, capacity);
+        prop_assert_eq!(whole_stats, tail_of(&whole_json, &model, 1 << 16).1);
+
+        let (ring, _) = replay(&ops, finish, capacity, None);
+        prop_assert!(ring.to_chrome_json() == tail_json, "capacity {}: export differs", capacity);
+        prop_assert_eq!(ring.validate().map_err(TestCaseError::fail)?, tail_stats);
+
+        let (sink, bytes) = SpillSink::memory();
+        let (mut spilled, _) = replay(&ops, finish, capacity, Some(sink));
+        spilled.finalize_spill();
+        prop_assert!(
+            bytes.lock().expect("spill buffer").as_slice() == whole_json.as_bytes(),
+            "capacity {}: spilled bytes differ", capacity
+        );
+        let records = whole_stats.records.min(capacity);
+        prop_assert_eq!(
+            spilled.validate().map_err(TestCaseError::fail)?,
+            TraceStats { records, ..whole_stats }
+        );
+    }
 }

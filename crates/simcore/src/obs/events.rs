@@ -1,6 +1,7 @@
 //! Structured sim-event tracing: a ring-buffered sink with JSONL export.
 
 use std::collections::VecDeque;
+use std::io;
 
 use super::json::JsonObject;
 
@@ -133,14 +134,22 @@ impl<E: ObsEvent> EventSink<E> {
             .map(|(seq, e)| (seq, Self::line(seq, e)))
     }
 
+    /// Streams the buffered events into `w` as JSONL, one line per event,
+    /// so a file export needs no copy of the whole log in memory.
+    pub fn write_jsonl(&self, mut w: impl io::Write) -> io::Result<()> {
+        for (seq, e) in self.numbered() {
+            w.write_all(Self::line(seq, e).as_bytes())?;
+            w.write_all(b"\n")?;
+        }
+        w.flush()
+    }
+
     /// The buffered events as a JSONL string.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, e) in self.numbered() {
-            out.push_str(&Self::line(seq, e));
-            out.push('\n');
-        }
-        out
+        let mut out = Vec::new();
+        // Writing into a `Vec` cannot fail.
+        let _ = self.write_jsonl(&mut out);
+        String::from_utf8(out).expect("JSONL lines are UTF-8")
     }
 }
 
@@ -198,5 +207,38 @@ mod tests {
         // Lines match the JSONL export byte for byte.
         let joined: String = all.iter().map(|(_, l)| format!("{l}\n")).collect();
         assert_eq!(joined, sink.to_jsonl());
+    }
+
+    /// Accepts `room` bytes, then fails every write.
+    struct Full {
+        room: usize,
+    }
+
+    impl io::Write for Full {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            if bytes.len() > self.room {
+                return Err(io::Error::other("full"));
+            }
+            self.room -= bytes.len();
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_jsonl_streams_the_export_and_surfaces_write_errors() {
+        let mut sink = EventSink::new(4);
+        for (i, label) in ["a", "b"].iter().enumerate() {
+            sink.record(Probe { t: i as u64, label });
+        }
+        let want = sink.to_jsonl();
+        assert!(sink.write_jsonl(Full { room: want.len() }).is_ok());
+        assert!(sink
+            .write_jsonl(Full {
+                room: want.len() - 1
+            })
+            .is_err());
     }
 }

@@ -29,9 +29,9 @@
 //!
 //! A ring record takes 16 bytes, so a full 2^20-record ring holds
 //! 16 MiB of records (plus 8 bytes per retained counter sample).
-//! [`TraceBuffer::validate`] checks a spilled run whole: records pass
-//! its checks as they stream out. A ring without a sink that dropped
-//! its oldest records is checked over what it kept.
+//! The span tree is checked as it is recorded, so
+//! [`TraceBuffer::validate`] reports on the whole run in O(1), whether
+//! the ring held it, streamed it out or dropped its oldest records.
 //!
 //! [`WasteBuckets`] and [`RunAttribution`] reduce a run's energy ledger
 //! to the paper's waste taxonomy — useful active, active-idle during

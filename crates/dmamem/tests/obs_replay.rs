@@ -240,8 +240,9 @@ const PINNED_SPANS: usize = 246_919;
 /// cannot reach: the export of a ring that dropped its oldest records,
 /// the streamed bytes of a ring that spilled them, and both rings'
 /// span-tree statistics. A spilled run streams its records in record
-/// order, so its bytes are the full-size run's export, and they pass the
-/// checks on their way out, so its statistics cover the whole run.
+/// order, so its bytes are the full-size run's export. Every record is
+/// checked as it is recorded, so both rings' statistics cover the whole
+/// run.
 #[test]
 fn overflowed_and_spilled_rings_match_pinned_digests() {
     let (sim, trace) = pinned_sim();
@@ -273,7 +274,7 @@ fn overflowed_and_spilled_rings_match_pinned_digests() {
 const PINNED_DROPPED_TRACE: u64 = 0x24da_3a5a_66fc_2c09;
 const PINNED_DROPPED_STATS: TraceStats = TraceStats {
     records: 4096,
-    spans: 2030,
+    spans: PINNED_SPANS,
     open: 0,
     dropped: 490_056,
 };
@@ -287,8 +288,7 @@ const PINNED_SPILLED: u64 = 494_152;
 
 /// The spill sink is armed before the tracer seeds its boot power
 /// counters, so even a 16-record ring, smaller than the paper system's
-/// 32 chips, streams every record of the run, and validation checks the
-/// whole run as strictly as a ring that held it.
+/// 32 chips, streams every record of the run.
 #[test]
 fn smallest_spilling_ring_loses_no_boot_counter() {
     let (sim, trace) = pinned_sim();

@@ -3,7 +3,8 @@
 //! trace must be byte-identical at any thread count, and a spilling ring
 //! of any size must stream the export of a ring that holds the whole run.
 //! Random call sequences check the span ring's packed records against a
-//! plain model of the record stream.
+//! plain model of the record stream, and check that a broken record is
+//! reported whatever the ring kept of it.
 
 use dmamem::experiments::{traced_runs_ctx, traced_runs_spill_ctx, ExpConfig};
 use dmamem::sweep::SweepCtx;
@@ -41,7 +42,8 @@ proptest! {
                 ))
             })?;
             prop_assert_eq!(stats.open, 0);
-            prop_assert!(stats.records >= stats.spans);
+            // Every span began and ended somewhere in the record stream.
+            prop_assert!(stats.records as u64 + stats.dropped >= 2 * stats.spans as u64);
         }
     }
 
@@ -109,14 +111,22 @@ fn trace_export_is_thread_count_invariant() {
 /// span, for predicting what survives in a ring's tail.
 #[derive(Debug, Clone, Copy)]
 enum Modelled {
-    Begin { parent: Option<usize>, bus: bool },
-    End { span: usize },
+    Begin {
+        parent: Option<usize>,
+        bus: bool,
+    },
+    End {
+        span: usize,
+    },
+    /// A second end of an ended span, which no export writes.
+    Stray,
     Other,
 }
 
 /// Replays `ops` into a `capacity`-record buffer with two chip and two
 /// bus tracks, and returns it with the model of the records it was given
-/// (spans numbered in begin order).
+/// (spans numbered in begin order) and the index of the broken record
+/// `fault` injected, if any.
 ///
 /// Each op is `(kind, pick, step)`: `step` advances the clock, `kind`
 /// chooses a bus begin, a chip begin, an end, an instant or a counter,
@@ -124,12 +134,17 @@ enum Modelled {
 /// none) or the span to end (any open bus span or any chip's innermost
 /// span). Counter samples are distinct. With `finish`, the open spans
 /// are closed at the end.
+///
+/// `fault` is `(kind, op)`: before op `op`, kind 1 ends an ended span
+/// again and kind 2 records an instant stamped below the last record,
+/// when there is such a span or a stamp to go below.
 fn replay(
     ops: &[(u8, u64, u64)],
+    fault: (u8, usize),
     finish: bool,
     capacity: usize,
     spill: Option<SpillSink>,
-) -> (TraceBuffer, Vec<Modelled>) {
+) -> (TraceBuffer, Vec<Modelled>, Option<usize>) {
     let mut buf = TraceBuffer::new(capacity);
     let chips = [0, 1].map(|i| buf.add_track(format!("chip {i}"), TrackKind::Chip));
     let buses = [0, 1].map(|i| buf.add_track(format!("io bus {i}"), TrackKind::Bus));
@@ -137,15 +152,32 @@ fn replay(
         buf.arm_spill(sink);
     }
     let mut model = Vec::new();
+    let mut broken = None;
     let mut spans: Vec<SpanId> = Vec::new();
     let mut open: Vec<usize> = Vec::new();
     let mut chip_stacks = [Vec::new(), Vec::new()];
-    let mut now = 0u64;
+    let (mut now, mut last) = (0u64, 0u64);
     for (i, &(kind, pick, step)) in ops.iter().enumerate() {
+        if i == fault.1 {
+            let ended = (0..spans.len()).find(|s| !open.contains(s));
+            match (fault.0, ended) {
+                (1, Some(span)) => {
+                    broken = Some(model.len());
+                    buf.end(spans[span], SimTime::from_ps(now));
+                    model.push(Modelled::Stray);
+                }
+                (2, _) if last > 0 => {
+                    broken = Some(model.len());
+                    buf.instant(chips[0], "late", SimTime::from_ps(last - 1));
+                    model.push(Modelled::Other);
+                }
+                _ => {}
+            }
+        }
         now += step;
         let at = SimTime::from_ps(now);
         let p = pick as usize;
-        match kind {
+        let rec = match kind {
             0..=2 => {
                 let parent =
                     (!p.is_multiple_of(3) && !open.is_empty()).then(|| open[p / 3 % open.len()]);
@@ -158,7 +190,7 @@ fn replay(
                 if !bus {
                     chip_stacks[p % 2].push(span);
                 }
-                model.push(Modelled::Begin { parent, bus });
+                Modelled::Begin { parent, bus }
             }
             3..=4 if !open.is_empty() => {
                 let span = open[p % open.len()];
@@ -171,18 +203,20 @@ fn replay(
                 }
                 open.retain(|&s| s != span);
                 buf.end(spans[span], at);
-                model.push(Modelled::End { span });
+                Modelled::End { span }
             }
             5 => {
                 buf.instant(chips[p % 2], "mark", at);
-                model.push(Modelled::Other);
+                Modelled::Other
             }
             6 => {
                 buf.counter(buses[p % 2], "level", at, i as f64 + 0.25);
-                model.push(Modelled::Other);
+                Modelled::Other
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        model.push(rec);
+        last = now;
     }
     if finish {
         open.sort_unstable();
@@ -191,20 +225,30 @@ fn replay(
         }
         buf.finish(SimTime::from_ps(now));
     }
-    (buf, model)
+    (buf, model, broken)
 }
 
-/// The export and statistics that a ring holding the last `capacity`
-/// records of `model` must give, derived from `whole`, the export of a
-/// ring that held every record: each record keeps its line, except that
-/// an end whose begin fell out of the tail is not written and a bus span
-/// whose ancestors fell out is keyed by its oldest ancestor left.
-fn tail_of(whole: &str, model: &[Modelled], capacity: usize) -> (String, TraceStats) {
+/// The export that a ring holding the last `capacity` records of `model`
+/// must give, derived from `whole`, the export of a ring that held every
+/// record: each record keeps its line, except that an end whose begin
+/// fell out of the tail is not written and a bus span whose ancestors
+/// fell out is keyed by its oldest ancestor left.
+fn tail_of(whole: &str, model: &[Modelled], capacity: usize) -> String {
     let mut lines: Vec<&str> = whole.lines().collect();
     let (head, footer) = (lines.remove(0), lines.pop());
     assert_eq!(footer, Some("]}"));
     let lines: Vec<&str> = lines.iter().map(|l| l.trim_end_matches(',')).collect();
-    let (tracks, records) = lines.split_at(lines.len() - model.len());
+    // The line of each model record in `whole`; a stray end has none.
+    let mut written = 0;
+    let line_of: Vec<usize> = model
+        .iter()
+        .map(|rec| {
+            let line = written;
+            written += usize::from(!matches!(rec, Modelled::Stray));
+            line
+        })
+        .collect();
+    let (tracks, records) = lines.split_at(lines.len() - written);
     let begins: Vec<usize> = (0..model.len())
         .filter(|&k| matches!(model[k], Modelled::Begin { .. }))
         .collect();
@@ -220,75 +264,81 @@ fn tail_of(whole: &str, model: &[Modelled], capacity: usize) -> (String, TraceSt
         span
     };
     let mut kept: Vec<String> = tracks.iter().map(|l| l.to_string()).collect();
-    let (mut spans, mut ended) = (0, 0);
     for (k, rec) in model.iter().enumerate().skip(first) {
         let span = match *rec {
-            Modelled::Begin { .. } => {
-                spans += 1;
-                begins.iter().position(|&b| b == k)
-            }
-            Modelled::End { span } if begins[span] >= first => {
-                ended += 1;
-                Some(span)
-            }
-            Modelled::End { .. } => continue,
+            Modelled::Begin { .. } => begins.iter().position(|&b| b == k),
+            Modelled::End { span } if begins[span] >= first => Some(span),
+            Modelled::End { .. } | Modelled::Stray => continue,
             Modelled::Other => None,
         };
         let bus =
             span.is_some_and(|s| matches!(model[begins[s]], Modelled::Begin { bus: true, .. }));
+        let line = records[line_of[k]];
         let line = match span.filter(|_| bus) {
             Some(s) => {
                 let key = |root: usize| format!("\"id\":\"{root:#x}\"");
-                records[k].replace(&key(root_from(s, 0)), &key(root_from(s, first)))
+                line.replace(&key(root_from(s, 0)), &key(root_from(s, first)))
             }
-            None => records[k].to_string(),
+            None => line.to_string(),
         };
         kept.push(line);
     }
-    let text = format!("{head}\n{}\n]}}\n", kept.join(",\n"));
-    let stats = TraceStats {
-        records: model.len() - first,
-        spans,
-        open: spans - ended,
-        dropped: first as u64,
-    };
-    (text, stats)
+    format!("{head}\n{}\n]}}\n", kept.join(",\n"))
 }
 
 proptest! {
     /// The packed records of a small ring say what the plain record
     /// stream says: a ring of any capacity from 16 to 256 exports the
-    /// tail of a 2^16-record ring that held the same calls, and
-    /// validates to the tail's statistics. Spilled through a sink, the
-    /// same ring streams the whole export and validates the whole run.
+    /// tail of a 2^16-record ring that held the same calls, and spilled
+    /// through a sink it streams the whole export. Every record is
+    /// checked as it is recorded, so either ring validates as the
+    /// 2^16-record ring does, with its own counts of records held and
+    /// lost: to the whole run's statistics, or to the same error when
+    /// one stray end or one stamp regression was injected.
     #[test]
     fn small_rings_keep_the_tail_of_the_record_stream(
         ops in prop::collection::vec((0u8..8, 0u64..1 << 20, 0u64..3), 1..600),
+        fault in (0u8..3, 0usize..600),
         capacity in 16usize..257,
         finish in any::<bool>(),
     ) {
-        let (whole, model) = replay(&ops, finish, 1 << 16, None);
+        let (whole, model, broken) = replay(&ops, fault, finish, 1 << 16, None);
         prop_assert_eq!(whole.dropped(), 0);
         let whole_json = whole.to_chrome_json();
-        let whole_stats = whole.validate().map_err(TestCaseError::fail)?;
-        let (tail_json, tail_stats) = tail_of(&whole_json, &model, capacity);
-        prop_assert_eq!(whole_stats, tail_of(&whole_json, &model, 1 << 16).1);
+        let verdict = whole.validate();
+        match broken {
+            Some(k) => {
+                let err = verdict.clone().err().unwrap_or_default();
+                prop_assert!(err.starts_with(&format!("record {k}: ")), "{:?}", verdict);
+            }
+            None => {
+                let count = |f: fn(&Modelled) -> bool| model.iter().filter(|&r| f(r)).count();
+                let spans = count(|r| matches!(r, Modelled::Begin { .. }));
+                let ended = count(|r| matches!(r, Modelled::End { .. }));
+                let stats = TraceStats { records: model.len(), spans, open: spans - ended, dropped: 0 };
+                prop_assert_eq!(verdict.clone(), Ok(stats));
+            }
+        }
+        let own = |ring: &TraceBuffer| {
+            verdict.clone().map(|s| TraceStats { records: ring.len(), dropped: ring.dropped(), ..s })
+        };
 
-        let (ring, _) = replay(&ops, finish, capacity, None);
+        let (ring, ..) = replay(&ops, fault, finish, capacity, None);
+        let tail_json = tail_of(&whole_json, &model, capacity);
         prop_assert!(ring.to_chrome_json() == tail_json, "capacity {}: export differs", capacity);
-        prop_assert_eq!(ring.validate().map_err(TestCaseError::fail)?, tail_stats);
+        prop_assert_eq!(ring.dropped(), model.len().saturating_sub(capacity) as u64);
+        prop_assert_eq!(ring.validate(), own(&ring));
 
         let (sink, bytes) = SpillSink::memory();
-        let (mut spilled, _) = replay(&ops, finish, capacity, Some(sink));
+        let (mut spilled, ..) = replay(&ops, fault, finish, capacity, Some(sink));
         spilled.finalize_spill();
         prop_assert!(
             bytes.lock().expect("spill buffer").as_slice() == whole_json.as_bytes(),
             "capacity {}: spilled bytes differ", capacity
         );
-        let records = whole_stats.records.min(capacity);
-        prop_assert_eq!(
-            spilled.validate().map_err(TestCaseError::fail)?,
-            TraceStats { records, ..whole_stats }
-        );
+        // A stray end is the one record the sink cannot write.
+        let stray = model.iter().any(|r| matches!(r, Modelled::Stray));
+        prop_assert_eq!(spilled.dropped(), u64::from(stray));
+        prop_assert_eq!(spilled.validate(), own(&spilled));
     }
 }

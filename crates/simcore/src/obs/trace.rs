@@ -42,6 +42,17 @@
 //! list sorted by id, so one long-lived span (a chip asleep for the whole
 //! run) does not hold the table open behind it.
 //!
+//! # Checks
+//!
+//! The span tree is checked as it is recorded, against that same table:
+//! no record's stamp may run below the last one, a begin's parent must
+//! still be open, an end must close an open span, and the spans of a
+//! [`TrackKind::Chip`] track must close innermost first. Every record of
+//! the run passes the checks, whatever the ring later drops or streams
+//! out, so [`TraceBuffer::validate`] reads the verdict in O(1): the first
+//! failure, named by its record's index in the whole stream, or the
+//! run's totals.
+//!
 //! # Streaming export
 //!
 //! One writer renders every export, one line per record in record order.
@@ -59,11 +70,6 @@
 //! [`TraceBuffer::dropped`]. A file sink is buffered, so a write error
 //! surfaces when its buffer flushes: one failed flush counts once in
 //! `dropped` however many records it held, so loss is counted per flush.
-//!
-//! Every displaced record also passes [`TraceBuffer::validate`]'s checks
-//! as it streams out, and `validate` carries that state on through the
-//! ring, so a spilled run is checked whole, as strictly as a run the ring
-//! held entirely.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -97,12 +103,14 @@ pub struct SpanId(u64);
 struct Track {
     name: String,
     kind: TrackKind,
+    /// The open spans of a chip track, innermost last.
+    open: Vec<u64>,
 }
 
 /// Index into a buffer's interned name table.
 type NameId = u16;
 
-/// One ring record, decoded: what the writer and the checks read.
+/// One ring record, decoded: what the writer reads.
 #[derive(Debug, Clone, Copy)]
 enum Entry {
     Begin {
@@ -127,17 +135,6 @@ enum Entry {
         at: SimTime,
         value: f64,
     },
-}
-
-impl Entry {
-    fn at(&self) -> SimTime {
-        match *self {
-            Entry::Begin { at, .. }
-            | Entry::End { at, .. }
-            | Entry::Instant { at, .. }
-            | Entry::Counter { at, .. } => at,
-        }
-    }
 }
 
 /// One ring record: 16 bytes, the stamp and a packed word (see the
@@ -230,10 +227,9 @@ struct SpanMeta {
 pub struct TraceStats {
     /// Records currently held in the ring.
     pub records: usize,
-    /// `begin` records checked: the whole run's when every record was
-    /// checked (see [`TraceBuffer::validate`]), else the retained ring's.
+    /// Spans begun since the buffer was created.
     pub spans: usize,
-    /// Spans begun but not ended within the checked records.
+    /// Spans begun and not yet ended.
     pub open: usize,
     /// Records evicted by the ring since the buffer was created.
     pub dropped: u64,
@@ -517,131 +513,6 @@ impl<W: Write> ChromeWriter<W> {
     }
 }
 
-/// Incremental-export state for an armed spill sink.
-#[derive(Debug, Clone)]
-struct Spill {
-    writer: ChromeWriter<SpillSink>,
-    /// Records streamed to the sink.
-    spilled: u64,
-    /// Whether the footer has been written.
-    finalized: bool,
-}
-
-impl Spill {
-    /// Writes one record; false when it was not written (a failed write,
-    /// or an end whose begin the sink never received).
-    fn write(&mut self, names: &[&str], tracks: &[Track], rec: &Entry) -> bool {
-        let written = matches!(self.writer.record(names, tracks, rec), Ok(true));
-        self.spilled += u64::from(written);
-        written
-    }
-}
-
-/// The running state of [`TraceBuffer::validate`]'s checks over a record
-/// stream: non-decreasing stamps, every end matching an open begin,
-/// parents open when children begin, and strict LIFO nesting on
-/// [`TrackKind::Chip`] tracks.
-#[derive(Debug, Clone)]
-struct Check {
-    /// Whether the stream starts at the buffer's first record: only then
-    /// can an end or a parent be known never to have begun.
-    strict: bool,
-    /// Records checked so far; an error names its record by this index.
-    seen: u64,
-    last: SimTime,
-    /// Spans below `first` began before the checked stream starts.
-    first: u64,
-    /// The id the next begin carries.
-    next: u64,
-    /// The open spans and their tracks.
-    open: SpanTable<TrackId>,
-    /// The open spans of each chip track, innermost last.
-    chip_stacks: Vec<Vec<u64>>,
-    /// The first failed check; checking stops there.
-    error: Option<String>,
-}
-
-impl Check {
-    /// Checks a stream whose first begin carries the id `first`.
-    fn new(strict: bool, first: u64) -> Self {
-        Check {
-            strict,
-            seen: 0,
-            last: SimTime::ZERO,
-            first,
-            next: first,
-            open: SpanTable::default(),
-            chip_stacks: Vec::new(),
-            error: None,
-        }
-    }
-
-    fn step(&mut self, tracks: &[Track], rec: &Entry) {
-        if self.error.is_none() {
-            if let Err(e) = self.check(tracks, rec) {
-                self.error = Some(format!("record {}: {e}", self.seen));
-            }
-        }
-        self.seen += 1;
-    }
-
-    fn check(&mut self, tracks: &[Track], rec: &Entry) -> Result<(), String> {
-        let at = rec.at();
-        if at < self.last {
-            return Err(format!(
-                "timestamp {} ps regresses below {} ps",
-                at.as_ps(),
-                self.last.as_ps()
-            ));
-        }
-        self.last = at;
-        let chip = |track: TrackId| {
-            let t = track.0 as usize;
-            (tracks.get(t).map(|t| t.kind) == Some(TrackKind::Chip)).then_some(t)
-        };
-        match *rec {
-            Entry::Begin {
-                id, parent, track, ..
-            } => {
-                self.next = id + 1;
-                self.open.insert(id, track);
-                if let Some(p) = parent.filter(|_| self.strict) {
-                    // In a strict stream every span below `next` began.
-                    if self.open.get(p).is_none() {
-                        return Err(format!("parent span {p} already closed"));
-                    }
-                }
-                if let Some(t) = chip(track) {
-                    if self.chip_stacks.len() <= t {
-                        self.chip_stacks.resize(t + 1, Vec::new());
-                    }
-                    self.chip_stacks[t].push(id);
-                }
-            }
-            Entry::End { id, .. } => match self.open.remove(id) {
-                Some(track) => {
-                    if let Some(t) = chip(track) {
-                        if self.chip_stacks[t].pop() != Some(id) {
-                            return Err(format!(
-                                "span {id} ends out of LIFO order on chip track {t}"
-                            ));
-                        }
-                    }
-                }
-                None if (self.first..self.next).contains(&id) => {
-                    return Err(format!("span {id} ended twice"));
-                }
-                None if self.strict => {
-                    return Err(format!("end for span {id} that never began"));
-                }
-                None => {}
-            },
-            Entry::Instant { .. } | Entry::Counter { .. } => {}
-        }
-        Ok(())
-    }
-}
-
 /// A bounded ring of span/instant/counter records over simulated time.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
@@ -653,18 +524,23 @@ pub struct TraceBuffer {
     values: VecDeque<f64>,
     capacity: usize,
     dropped: u64,
+    /// Records streamed to the spill sink.
+    spilled: u64,
+    /// Records in the stream so far: the next record's index.
+    recorded: u64,
     /// The id of the oldest retained begin, or `next_span` when none is
     /// retained: the retained begins carry the ids
     /// `first_begin..next_span`.
     first_begin: u64,
     next_span: u64,
-    /// The open spans, dense by id.
-    open: SpanTable<()>,
-    /// The checks run over every record that has left the ring, or
-    /// `None` once a record left it unchecked (dropped with no spill
-    /// sink armed).
-    streamed: Option<Check>,
-    spill: Option<Spill>,
+    /// The open spans and their tracks, dense by id.
+    open: SpanTable<TrackId>,
+    /// The stamp of the last record.
+    last: SimTime,
+    /// The first failed check; see [`TraceBuffer::validate`].
+    error: Option<String>,
+    /// The armed spill sink's writer, until it is finalized.
+    spill: Option<ChromeWriter<SpillSink>>,
 }
 
 impl TraceBuffer {
@@ -677,10 +553,13 @@ impl TraceBuffer {
             values: VecDeque::new(),
             capacity: capacity.max(16),
             dropped: 0,
+            spilled: 0,
+            recorded: 0,
             first_begin: 0,
             next_span: 0,
             open: SpanTable::default(),
-            streamed: Some(Check::new(true, 0)),
+            last: SimTime::ZERO,
+            error: None,
             spill: None,
         }
     }
@@ -695,13 +574,9 @@ impl TraceBuffer {
         self.tracks.push(Track {
             name: name.into(),
             kind,
+            open: Vec::new(),
         });
         TrackId(id)
-    }
-
-    /// Number of registered tracks.
-    pub fn track_count(&self) -> usize {
-        self.tracks.len()
     }
 
     /// Records retained in the ring right now.
@@ -719,19 +594,9 @@ impl TraceBuffer {
         self.dropped
     }
 
-    /// Spans currently open (begun, not yet ended).
-    pub fn open_spans(&self) -> usize {
-        self.open.len
-    }
-
     /// Records streamed to the armed spill sink so far.
     pub fn spilled(&self) -> u64 {
-        self.spill.as_ref().map_or(0, |s| s.spilled)
-    }
-
-    /// True when a spill sink is armed and not yet finalized.
-    pub fn spill_armed(&self) -> bool {
-        self.spill.as_ref().is_some_and(|s| !s.finalized)
+        self.spilled
     }
 
     /// The table index of `name`, added on first use. A buffer holds a
@@ -747,7 +612,25 @@ impl TraceBuffer {
         NameId::try_from(idx).expect("more than 65536 distinct trace record names")
     }
 
+    /// `track` when it is a chip track, whose spans must nest.
+    fn chip_mut(&mut self, track: TrackId) -> Option<&mut Track> {
+        self.tracks
+            .get_mut(track.0 as usize)
+            .filter(|t| t.kind == TrackKind::Chip)
+    }
+
+    /// Appends `record` to the stream, checking its stamp against the
+    /// last record's.
     fn push(&mut self, record: Record) {
+        self.recorded += 1;
+        if record.at < self.last {
+            let last = self.last.as_ps();
+            self.fail(format_args!(
+                "timestamp {} ps regresses below {last} ps",
+                record.at.as_ps()
+            ));
+        }
+        self.last = record.at;
         if self.records.len() == self.capacity {
             if let Some(oldest) = self.records.pop_front() {
                 self.evict(oldest);
@@ -756,9 +639,17 @@ impl TraceBuffer {
         self.records.push_back(record);
     }
 
-    /// Streams the displaced oldest record to the armed sink, through the
-    /// checks, or drops it. Failed writes and ends whose begin predates
-    /// arming count in `dropped`, so loss is observable.
+    /// Keeps the first failed check, naming the record last pushed.
+    #[cold]
+    fn fail(&mut self, why: std::fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = Some(format!("record {}: {why}", self.recorded - 1));
+        }
+    }
+
+    /// Streams the displaced oldest record to the armed sink, or drops
+    /// it. Failed writes and ends whose begin predates arming count in
+    /// `dropped`, so loss is observable.
     fn evict(&mut self, oldest: Record) {
         let values = &mut self.values;
         let rec = oldest.decode(&mut self.first_begin, || {
@@ -766,19 +657,14 @@ impl TraceBuffer {
                 .pop_front()
                 .expect("every counter record has a sample")
         });
-        match (&mut self.spill, &mut self.streamed) {
-            (Some(sp), check) if !sp.finalized => {
-                if let Some(check) = check {
-                    check.step(&self.tracks, &rec);
-                }
-                if !sp.write(&self.names, &self.tracks, &rec) {
-                    self.dropped += 1;
-                }
-            }
-            _ => {
-                self.dropped += 1;
-                self.streamed = None;
-            }
+        let written = self
+            .spill
+            .as_mut()
+            .is_some_and(|w| matches!(w.record(&self.names, &self.tracks, &rec), Ok(true)));
+        if written {
+            self.spilled += 1;
+        } else {
+            self.dropped += 1;
         }
     }
 
@@ -804,34 +690,27 @@ impl TraceBuffer {
         if header.is_err() {
             self.dropped += 1;
         }
-        self.spill = Some(Spill {
-            writer,
-            spilled: 0,
-            finalized: false,
-        });
+        self.spill = Some(writer);
     }
 
     /// Writes every retained record to the armed sink, appends the Chrome
-    /// JSON footer, flushes the sink, and returns the total records
-    /// streamed. The ring itself is left intact. Idempotent: a second
-    /// call (or a call with no sink armed) does nothing and returns the
+    /// JSON footer, flushes the sink, disarms it, and returns the total
+    /// records streamed. The ring itself is left intact. With no sink
+    /// armed (a second call, say) this does nothing and returns the
     /// prior total.
     pub fn finalize_spill(&mut self) -> u64 {
-        if let Some(mut sp) = self.spill.take() {
-            if !sp.finalized {
-                let unwritten = self
-                    .entries()
-                    .filter(|rec| !sp.write(&self.names, &self.tracks, rec))
-                    .count();
-                self.dropped += unwritten as u64;
-                if sp.writer.close().is_err() {
-                    self.dropped += 1;
-                }
-                sp.finalized = true;
+        if let Some(mut w) = self.spill.take() {
+            let written = self
+                .entries()
+                .filter(|rec| matches!(w.record(&self.names, &self.tracks, rec), Ok(true)))
+                .count();
+            self.spilled += written as u64;
+            self.dropped += (self.records.len() - written) as u64;
+            if w.close().is_err() {
+                self.dropped += 1;
             }
-            self.spill = Some(sp);
         }
-        self.spilled()
+        self.spilled
     }
 
     /// Opens a span on `track` at `at`, optionally nested under `parent`.
@@ -860,18 +739,38 @@ impl TraceBuffer {
             back
         });
         let name = self.intern(name);
-        self.next_span += 1;
-        self.open.insert(id, ());
         self.push(Record::labelled(Record::BEGIN, at, track, name, back));
+        if let Some(SpanId(p)) = parent.filter(|&SpanId(p)| self.open.get(p).is_none()) {
+            self.fail(format_args!("parent span {p} already closed"));
+        }
+        self.next_span += 1;
+        self.open.insert(id, track);
+        if let Some(chip) = self.chip_mut(track) {
+            chip.open.push(id);
+        }
         SpanId(id)
     }
 
     /// Closes the span `id` at `at`. Closing an unknown or already-closed
-    /// span still records the end (the ring may have evicted the begin);
-    /// [`TraceBuffer::validate`] flags it when every record was checked.
-    pub fn end(&mut self, id: SpanId, at: SimTime) {
-        self.open.remove(id.0);
-        self.push(Record::end(at, id.0));
+    /// span still records the end, and fails the checks (see
+    /// [`TraceBuffer::validate`]).
+    pub fn end(&mut self, SpanId(id): SpanId, at: SimTime) {
+        self.push(Record::end(at, id));
+        match self.open.remove(id) {
+            Some(track) => {
+                if self
+                    .chip_mut(track)
+                    .is_some_and(|chip| chip.open.pop() != Some(id))
+                {
+                    let t = track.0;
+                    self.fail(format_args!(
+                        "span {id} ends out of LIFO order on chip track {t}"
+                    ));
+                }
+            }
+            None if id < self.next_span => self.fail(format_args!("span {id} ended twice")),
+            None => self.fail(format_args!("end for span {id} that never began")),
+        }
     }
 
     /// Records a point-in-time marker on `track`.
@@ -905,35 +804,22 @@ impl TraceBuffer {
         }
     }
 
-    /// Checks the structural invariants of the record stream:
-    /// non-decreasing timestamps, every end matching an open begin,
-    /// parents open when children begin, and strict LIFO nesting on
-    /// [`TrackKind::Chip`] tracks.
+    /// The verdict of the checks every record passed as it was recorded
+    /// (see the module docs): non-decreasing timestamps, every end
+    /// matching an open begin, parents open when children begin, and
+    /// strict LIFO nesting on [`TrackKind::Chip`] tracks.
     ///
-    /// Records a spill sink streamed out were checked as they left the
-    /// ring, and the checks go on through the retained ring from there,
-    /// so while no record was dropped unchecked the whole run is
-    /// checked. Once the ring has dropped records, only the retained
-    /// ones are checked, and the end and parent checks are skipped where
-    /// the matching begin may be gone. Runs in time linear in the
-    /// retained records.
+    /// Returns the first failure, named by its record's index in the
+    /// whole stream, or the run's totals. A ring that dropped or streamed
+    /// out records is checked as whole as one that held the run. O(1):
+    /// the ring is not read.
     pub fn validate(&self) -> Result<TraceStats, String> {
-        let mut check = self
-            .streamed
-            .clone()
-            .unwrap_or_else(|| Check::new(false, self.first_begin));
-        for rec in self.entries() {
-            if check.error.is_some() {
-                break;
-            }
-            check.step(&self.tracks, &rec);
-        }
-        match check.error {
-            Some(e) => Err(e),
+        match &self.error {
+            Some(e) => Err(e.clone()),
             None => Ok(TraceStats {
                 records: self.records.len(),
-                spans: (check.next - check.first) as usize,
-                open: check.open.len,
+                spans: self.next_span as usize,
+                open: self.open.len,
                 dropped: self.dropped,
             }),
         }
@@ -994,9 +880,8 @@ mod tests {
         let bus = buf.add_track("bus 0", TrackKind::Bus);
         let root = buf.begin(bus, "transfer", t(0), None);
         let _child = buf.begin(bus, "drain", t(5), Some(root));
-        assert_eq!(buf.open_spans(), 2);
+        assert_eq!(buf.validate().map(|s| s.open), Ok(2));
         buf.finish(t(9));
-        assert_eq!(buf.open_spans(), 0);
         let stats = buf.validate().expect("valid trace");
         assert_eq!(stats.open, 0);
     }
@@ -1033,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_oldest_and_relaxes_validation() {
+    fn ring_drops_oldest_and_still_validates_the_whole_run() {
         let mut buf = TraceBuffer::new(16);
         let chip = buf.add_track("chip 0", TrackKind::Chip);
         for i in 0..40 {
@@ -1042,8 +927,8 @@ mod tests {
         }
         assert_eq!(buf.len(), 16);
         assert_eq!(buf.dropped(), 64); // 80 records, 16 retained
-        let stats = buf.validate().expect("drop-relaxed validation");
-        assert_eq!(stats.dropped, 64);
+        let stats = buf.validate().expect("valid trace");
+        assert_eq!((stats.spans, stats.open, stats.dropped), (40, 0, 64));
     }
 
     #[test]
@@ -1056,9 +941,8 @@ mod tests {
         assert!(buf.validate().is_err());
     }
 
-    /// The broken-tree shapes strict validation must reject and a ring
-    /// that dropped records must accept, each written as its last few
-    /// records.
+    /// The broken-tree shapes validation must reject, each written as its
+    /// last few records.
     fn write_broken(buf: &mut TraceBuffer, case: usize) {
         let bus = TrackId(1);
         match case {
@@ -1084,7 +968,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_validation_names_each_broken_tree() {
+    fn validation_names_each_broken_tree() {
         for (case, want) in BROKEN.iter().enumerate() {
             let mut buf = two_track_buffer();
             write_broken(&mut buf, case);
@@ -1094,7 +978,7 @@ mod tests {
     }
 
     #[test]
-    fn dropped_rings_accept_what_spilled_rings_reject() {
+    fn dropped_and_spilled_rings_reject_each_broken_tree() {
         for spill in [false, true] {
             for (case, want) in BROKEN.iter().enumerate() {
                 let mut buf = two_track_buffer();
@@ -1108,16 +992,31 @@ mod tests {
                 }
                 write_broken(&mut buf, case);
                 assert!(buf.dropped() + buf.spilled() > 0);
-                match buf.validate() {
-                    // The filler left the ring unchecked: nothing tells
-                    // whether the broken records' begins went with it.
-                    Ok(stats) if !spill => assert_eq!(stats.records, 16),
-                    // The filler streamed out through the checks: the
-                    // whole run is known, so the checks stay strict.
-                    Err(err) if spill => assert!(err.contains(want), "case {case}: {err}"),
-                    got => panic!("spill {spill}, case {case}: {got:?}"),
-                }
+                let err = buf.validate().expect_err(want);
+                assert!(err.contains(want), "spill {spill}, case {case}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn broken_records_the_ring_dropped_are_still_reported() {
+        for (stray, want) in [
+            (true, "record 1: end for span 99 that never began"),
+            (false, "record 1: timestamp 1 ps regresses below 5 ps"),
+        ] {
+            let mut buf = two_track_buffer();
+            buf.instant(TrackId(0), "first", t(5));
+            if stray {
+                buf.end(SpanId(99), t(5));
+            } else {
+                buf.instant(TrackId(0), "late", t(1));
+            }
+            for i in 0..40 {
+                buf.instant(TrackId(0), "filler", t(10 + i));
+            }
+            // The broken record left the ring long ago, with no sink.
+            assert_eq!((buf.len(), buf.dropped(), buf.spilled()), (16, 26, 0));
+            assert_eq!(buf.validate(), Err(want.to_string()));
         }
     }
 
@@ -1300,13 +1199,13 @@ mod tests {
         }
         let open = buf.begin(chip, "serving", t(100), None);
         assert!(buf.spilled() > 0);
-        let stats = buf.validate().expect("strict validation of the whole run");
+        let stats = buf.validate().expect("valid whole run");
         assert_eq!((stats.records, stats.spans, stats.open), (16, 41, 1));
         buf.end(open, t(101));
         // Finalizing writes the ring out but leaves it, and the checks,
         // as they were.
         buf.finalize_spill();
-        let stats = buf.validate().expect("strict validation of the whole run");
+        let stats = buf.validate().expect("valid whole run");
         assert_eq!((stats.spans, stats.open, stats.dropped), (41, 0, 0));
     }
 
@@ -1322,29 +1221,10 @@ mod tests {
             buf.end(s, t(i * 2 + 2));
         }
         // The sink could not write the stray end, so it counts as lost,
-        // but it passed the checks on its way out.
+        // but it was checked as it was recorded.
         assert_eq!(buf.dropped(), 1);
         let err = buf.validate().expect_err("stray end");
         assert_eq!(err, "record 0: end for span 99 that never began");
-    }
-
-    #[test]
-    fn a_record_dropped_unchecked_relaxes_validation() {
-        let (sink, _bytes) = SpillSink::memory();
-        let mut buf = TraceBuffer::new(16);
-        let chip = buf.add_track("chip 0", TrackKind::Chip);
-        buf.end(SpanId(99), t(0));
-        for i in 0..20 {
-            buf.instant(chip, "filler", t(i + 1));
-        }
-        // Arming after the ring dropped records cannot bring them back.
-        buf.arm_spill(sink);
-        for i in 0..40 {
-            let s = buf.begin(chip, "serving", t(i * 2 + 30), None);
-            buf.end(s, t(i * 2 + 31));
-        }
-        let stats = buf.validate().expect("drop-relaxed validation");
-        assert_eq!((stats.records, stats.spans, stats.dropped), (16, 8, 5));
     }
 
     #[test]
@@ -1378,7 +1258,7 @@ mod tests {
         let bus = buf.add_track("io bus 0", TrackKind::Bus);
         // Outlives a window's worth of younger spans, so it is parked.
         let asleep = buf.begin(chip, "low_power", t(0), None);
-        let n = SpanTable::<()>::WINDOW as u64 + 10;
+        let n = SpanTable::<TrackId>::WINDOW as u64 + 10;
         let mut held = Vec::new();
         for i in 0..n {
             let s = buf.begin(bus, "transfer", t(i + 1), None);
@@ -1388,12 +1268,17 @@ mod tests {
                 buf.end(s, t(i + 1));
             }
         }
-        assert_eq!(buf.open_spans(), 1 + held.len());
+        assert_eq!(buf.open.len, 1 + held.len());
         buf.end(asleep, t(n + 1));
         buf.end(asleep, t(n + 1));
-        assert_eq!(buf.open_spans(), held.len());
+        assert_eq!(buf.open.len, held.len());
         buf.finish(t(n + 2));
-        assert_eq!(buf.open_spans(), 0);
+        assert_eq!(buf.open.len, 0);
+        let err = buf.validate().expect_err("the second end");
+        assert!(
+            err.ends_with(&format!("span {} ended twice", asleep.0)),
+            "{err}"
+        );
         // `finish` closed the held spans youngest first.
         let ends: Vec<u64> = buf
             .entries()
@@ -1470,7 +1355,7 @@ mod tests {
                 },
             );
         }
-        assert_eq!(buf.track_count(), 65_536);
+        assert_eq!(buf.tracks.len(), 65_536);
         buf.add_track("one too many", TrackKind::Chip);
     }
 

@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dma_trace::{Trace, TraceEvent};
+use dma_trace::{Cursor, Trace, TraceEvent};
 use iobus::{Bus, BusDiscipline, BusId, DmaRequest, DmaTransfer, IssueOutcome, PageId, TransferId};
 use mempower::policy::PowerPolicy;
 use mempower::{Chip, ChipPhase, EnergyBreakdown, EnergyCategory, PowerMode};
@@ -176,7 +176,7 @@ impl ServerSimulator {
     ///
     /// Panics if the trace references an out-of-range page or bus.
     pub fn run(&self, trace: &Trace) -> SimResult {
-        let mut engine = Engine::new(&self.config, &self.scheme);
+        let mut engine = Engine::new(&self.config, &self.scheme, trace);
         engine.classic = self.classic;
         engine.live = self.live.clone();
         engine.obs_quiet = self.observability.is_none() && self.tracing.is_none();
@@ -200,7 +200,7 @@ impl ServerSimulator {
                 spill.clone(),
             ));
         }
-        engine.run(trace)
+        engine.run()
     }
 }
 
@@ -479,8 +479,9 @@ struct Engine<'a> {
     last_epoch_tick: SimTime,
     // PL state.
     tracker: Option<PopularityTracker>,
+    /// The trace, read forward as the clock reaches each record.
+    trace: Cursor<'a>,
     // Progress accounting for termination.
-    cursor: usize,
     active_transfers: usize,
     live_requests: usize,
     serving_count: usize,
@@ -537,7 +538,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(config: &'a SystemConfig, scheme: &'a Scheme) -> Self {
+    fn new(config: &'a SystemConfig, scheme: &'a Scheme, trace: &'a Trace) -> Self {
         let chips = (0..config.chips)
             .map(|i| ChipCtl {
                 chip: Chip::new(i, config.power_model.clone()),
@@ -590,7 +591,7 @@ impl<'a> Engine<'a> {
             ta_pending_total: 0,
             last_epoch_tick: SimTime::ZERO,
             tracker,
-            cursor: 0,
+            trace: trace.iter(),
             active_transfers: 0,
             live_requests: 0,
             serving_count: 0,
@@ -660,10 +661,9 @@ impl<'a> Engine<'a> {
         });
     }
 
-    fn run(mut self, trace: &Trace) -> SimResult {
-        let events = trace.events();
-        if let Some(first) = events.first() {
-            self.queue.schedule(first.time(), Ev::Trace);
+    fn run(mut self) -> SimResult {
+        if let Some(first) = self.trace.peek_time() {
+            self.queue.schedule(first, Ev::Trace);
         }
         // Chips boot active and idle: hand them to the policy immediately.
         for chip in 0..self.chips.len() {
@@ -699,7 +699,7 @@ impl<'a> Engine<'a> {
                     watermark_due = self.now.as_ps() + WATERMARK_STRIDE_PS;
                 }
             }
-            if self.finished(events.len()) {
+            if self.finished() {
                 break;
             }
             self.phases.note(ev.phase());
@@ -708,15 +708,18 @@ impl<'a> Engine<'a> {
                 Ev::BusTick { bus, gen }
                     if self.trains && gen == self.bus_gen[bus] && self.train_bus(bus) =>
                 {
-                    self.serve_train(bus, gen, events);
+                    self.serve_train(bus, gen);
                 }
-                ev => self.dispatch(ev, events, !self.classic),
+                ev => self.dispatch(ev, !self.classic),
             }
         }
         // Stat collection is one call of its own phase: ledger close,
         // energy merge, snapshotting, and result assembly below.
         self.phases.note(Phase::Stats);
-        let horizon = self.now.max(SimTime::ZERO + trace.duration());
+        // Every record has been read by now, so the cursor's time is the
+        // trace's last stamp.
+        debug_assert!(self.trace.is_done(), "the run ended before its trace");
+        let horizon = self.now.max(self.trace.time());
         if let Some(live) = &self.live {
             live.watermark_ps(horizon.as_ps());
         }
@@ -806,21 +809,21 @@ impl<'a> Engine<'a> {
     /// Runs the handler of `ev` at the current clock. `jump` lets an
     /// epoch tick fast-forward over empty epochs (see
     /// [`on_epoch_tick`](Engine::on_epoch_tick)).
-    fn dispatch(&mut self, ev: Ev, events: &[TraceEvent], jump: bool) {
+    fn dispatch(&mut self, ev: Ev, jump: bool) {
         match ev {
-            Ev::Trace => self.on_trace(events),
+            Ev::Trace => self.on_trace(),
             Ev::BusTick { bus, gen } => self.on_bus_tick(bus, gen),
             Ev::ServiceDone { chip } => self.on_service_done(chip),
             Ev::TransitionDone { chip } => self.on_transition_done(chip),
             Ev::PolicyTimer { chip, gen } => self.on_policy_timer(chip, gen),
             Ev::CpuGapDone { chip } => self.try_serve(chip),
-            Ev::EpochTick => self.on_epoch_tick(events.len(), jump),
-            Ev::PlInterval => self.on_pl_interval(events.len()),
+            Ev::EpochTick => self.on_epoch_tick(jump),
+            Ev::PlInterval => self.on_pl_interval(),
         }
     }
 
-    fn finished(&self, trace_len: usize) -> bool {
-        self.cursor >= trace_len
+    fn finished(&self) -> bool {
+        self.trace.is_done()
             && self.active_transfers == 0
             && self.live_requests == 0
             && self.serving_count == 0
@@ -829,17 +832,15 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
     // Trace feeding
 
-    fn on_trace(&mut self, events: &[TraceEvent]) {
-        while self.cursor < events.len() && events[self.cursor].time() <= self.now {
-            let ev = events[self.cursor];
-            self.cursor += 1;
+    fn on_trace(&mut self) {
+        while let Some(ev) = self.trace.next_due(self.now) {
             match ev {
                 TraceEvent::Dma(d) => self.start_transfer(d.bus, d.page, d.bytes, d),
                 TraceEvent::Proc(p) => self.on_proc_access(p.page),
             }
         }
-        if self.cursor < events.len() {
-            self.schedule(events[self.cursor].time(), Ev::Trace);
+        if let Some(next) = self.trace.peek_time() {
+            self.schedule(next, Ev::Trace);
         }
     }
 
@@ -1004,18 +1005,18 @@ impl<'a> Engine<'a> {
     /// with no DMA work, transition and service completions of such
     /// chips, an epoch tick with nothing gathered, and a trace instant of
     /// processor accesses to such chips.
-    fn commutes(&self, ev: Ev, events: &[TraceEvent]) -> bool {
+    fn commutes(&self, ev: Ev) -> bool {
         match ev {
             Ev::PolicyTimer { chip, gen } => self.timer_moot(chip, gen) || self.dma_free(chip),
             Ev::BusTick { bus, gen } => gen != self.bus_gen[bus],
             Ev::ServiceDone { chip } | Ev::TransitionDone { chip } => self.dma_free(chip),
             Ev::EpochTick => self.ta_pending_total == 0,
             Ev::Trace => {
-                let at = events.get(self.cursor).map(TraceEvent::time);
-                events[self.cursor..]
-                    .iter()
+                let at = self.trace.peek_time();
+                self.trace
+                    .clone()
                     .take_while(|e| Some(e.time()) == at)
-                    .all(|e| self.record_commutes(e))
+                    .all(|e| self.record_commutes(&e))
             }
             Ev::CpuGapDone { .. } | Ev::PlInterval => false,
         }
@@ -1029,8 +1030,8 @@ impl<'a> Engine<'a> {
     /// step. Otherwise the step is the train's own if it is a moot timer
     /// or a superseded tick (both no-ops), a live tick of a train bus, or
     /// a service completion. Anything else closes the window.
-    fn window_step(&self, ev: Ev, queued: bool, events: &[TraceEvent]) -> Step {
-        if queued && self.commutes(ev, events) {
+    fn window_step(&self, ev: Ev, queued: bool) -> Step {
+        if queued && self.commutes(ev) {
             return Step::Commute;
         }
         match ev {
@@ -1069,7 +1070,7 @@ impl<'a> Engine<'a> {
     /// commute with the train.
     ///
     /// [`window_step`]: Engine::window_step
-    fn serve_train(&mut self, bus: BusId, gen: u64, events: &[TraceEvent]) {
+    fn serve_train(&mut self, bus: BusId, gen: u64) {
         debug_assert!(self.lane.is_empty() && !self.lane_open);
         self.lane_open = true;
         self.batch.open(self.buses[bus].slot_period());
@@ -1085,7 +1086,7 @@ impl<'a> Engine<'a> {
                 (_, Some((run, l))) => (l.key(), l.ev, Some(run)),
                 (None, None) => break,
             };
-            let step = self.window_step(ev, lane_run.is_none(), events);
+            let step = self.window_step(ev, lane_run.is_none());
             if step == Step::Close {
                 break;
             }
@@ -1094,7 +1095,7 @@ impl<'a> Engine<'a> {
                     bus,
                     gen: self.bus_gen[bus],
                 })
-                && self.period_boundary(key.0, events)
+                && self.period_boundary(key.0)
             {
                 continue; // periods were booked: the lane moved on
             }
@@ -1104,22 +1105,19 @@ impl<'a> Engine<'a> {
             );
             last = Some(key);
             self.now = key.0;
-            debug_assert!(
-                !self.finished(events.len()),
-                "train window outlived the run"
-            );
+            debug_assert!(!self.finished(), "train window outlived the run");
             self.phases.note(ev.phase());
             if let Some(run) = lane_run {
                 self.lane.pop(run);
-                self.dispatch(ev, events, false);
+                self.dispatch(ev, false);
             } else {
                 self.queue.pop();
                 if step == Step::Commute {
-                    self.commute(ev, events);
+                    self.commute(ev);
                 } else {
                     // A queued train event is no part of a train period.
                     self.tape.taint();
-                    self.dispatch(ev, events, false);
+                    self.dispatch(ev, false);
                 }
                 head = self.queue_head();
             }
@@ -1145,12 +1143,12 @@ impl<'a> Engine<'a> {
     /// whatever it schedules goes to the queue, the tape neither records
     /// nor taints, and its phase call is booked outside the period. Debug
     /// builds check that the step left the train untouched.
-    fn commute(&mut self, ev: Ev, events: &[TraceEvent]) {
+    fn commute(&mut self, ev: Ev) {
         let before = cfg!(debug_assertions).then(|| self.train_state());
         let taping = std::mem::replace(&mut self.tape.on, false);
         self.tape.note_outside(ev.phase());
         self.lane_open = false;
-        self.dispatch(ev, events, false);
+        self.dispatch(ev, false);
         self.lane_open = true;
         self.tape.on = taping;
         if let Some(before) = before {
@@ -1631,7 +1629,7 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
     // Periodic events
 
-    fn on_epoch_tick(&mut self, trace_len: usize, jump: bool) {
+    fn on_epoch_tick(&mut self, jump: bool) {
         let Some(ta) = self.scheme.ta else { return };
         self.last_epoch_tick = self.now;
         if let Some(slack) = &mut self.slack {
@@ -1659,7 +1657,7 @@ impl<'a> Engine<'a> {
             }
         }
         // Keep ticking while there is (or may still be) work.
-        if !(self.cursor >= trace_len && self.active_transfers == 0 && self.ta_pending_total == 0) {
+        if !(self.trace.is_done() && self.active_transfers == 0 && self.ta_pending_total == 0) {
             let mut next = self.now + ta.epoch;
             // Virtual-time fast-forward: with no gathered requests and no
             // observability consumers, every tick strictly before the next
@@ -1689,7 +1687,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn on_pl_interval(&mut self, trace_len: usize) {
+    fn on_pl_interval(&mut self) {
         let Some(pl) = self.scheme.pl else { return };
         let fpc = self.config.frames_per_chip();
         // Bandwidth floor: the hot group must be able to absorb `p` of the
@@ -1740,7 +1738,7 @@ impl<'a> Engine<'a> {
         if let Some(tracker) = &mut self.tracker {
             tracker.age();
         }
-        if !(self.cursor >= trace_len && self.active_transfers == 0) {
+        if !(self.trace.is_done() && self.active_transfers == 0) {
             self.schedule(self.now + pl.interval, Ev::PlInterval);
         }
     }

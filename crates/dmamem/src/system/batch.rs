@@ -20,7 +20,6 @@
 //! commuting events inside them run afterwards, at their own times.
 //! DESIGN §14 ("Periodic train batching") has the exactness argument.
 
-use dma_trace::TraceEvent;
 use iobus::{BusDiscipline, DmaRequest};
 use mempower::{Accrual, EnergyBreakdown, ModeResidency, PowerMode};
 use simcore::prof::{Phase, PhaseProfile};
@@ -469,7 +468,7 @@ impl Engine<'_> {
     /// tick is dispatched; `t` is its time. Returns true when it booked
     /// periods: the lane then moved on and the caller must pick its next
     /// step afresh.
-    pub(super) fn period_boundary(&mut self, t: SimTime, events: &[TraceEvent]) -> bool {
+    pub(super) fn period_boundary(&mut self, t: SimTime) -> bool {
         let (t0, slot) = (self.batch.start, self.batch.slot.as_ps());
         let elapsed = t.saturating_since(t0).as_ps();
         let on_grid = elapsed > 0 && elapsed.is_multiple_of(slot);
@@ -478,19 +477,19 @@ impl Engine<'_> {
                 let settle = self.batch.settle.unwrap_or_else(|| self.settle_time(t));
                 self.batch.settle = Some(settle);
                 if t >= settle {
-                    self.start_reference(t, events);
+                    self.start_reference(t);
                 }
             }
             // Ticks off the slot grid belong to other streams of the bus.
             State::Reference if !on_grid && elapsed < MAX_SPAN * slot => {}
             State::Reference => {
                 if !self.tape.ok || !on_grid {
-                    self.retry(t, events);
+                    self.retry(t);
                 } else if !self.capture(1, t) {
                     self.stop();
                 } else if self.batch.sigs[0].shape == self.batch.sigs[1].shape {
                     self.batch.span = SimDuration::from_ps(elapsed);
-                    let bound = self.batch_bound(t, events);
+                    let bound = self.batch_bound(t);
                     let n = self.batch_len(t, bound);
                     if n > 0 {
                         self.apply(n);
@@ -499,7 +498,7 @@ impl Engine<'_> {
                     // Steady but out of room until the bound moves.
                     self.stop();
                 } else if elapsed >= MAX_SPAN * slot {
-                    self.retry(t, events);
+                    self.retry(t);
                 }
             }
             State::Landed => {
@@ -533,7 +532,7 @@ impl Engine<'_> {
             // A zero slot period never batches; otherwise look again once
             // the window has passed its bound.
             State::Off if slot > 0 && self.batch.bound.is_some_and(|b| b <= t) => {
-                self.start_reference(t, events);
+                self.start_reference(t);
             }
             State::Off => {}
         }
@@ -544,11 +543,11 @@ impl Engine<'_> {
     /// window has reached it (the event there was a train step, or the
     /// window would have closed). A moved bound gives the batcher its
     /// attempts back.
-    fn batch_bound(&mut self, t: SimTime, events: &[TraceEvent]) -> SimTime {
+    fn batch_bound(&mut self, t: SimTime) -> SimTime {
         match self.batch.bound {
             Some(b) if b > t => b,
             prev => {
-                let b = self.train_bound(events);
+                let b = self.train_bound();
                 if prev.is_some() {
                     self.batch.attempts = 0;
                 }
@@ -563,13 +562,13 @@ impl Engine<'_> {
     /// (see [`Engine::commutes`]) and cannot come to, or the first trace
     /// record past the cursor that would not commute, since those are not
     /// scheduled yet. [`SimTime::NEVER`] when there is none.
-    fn train_bound(&self, events: &[TraceEvent]) -> SimTime {
+    fn train_bound(&self) -> SimTime {
         let lasting = |ev: Ev| match ev {
             // A moot timer of a chip with DMA work acts once it idles.
             Ev::PolicyTimer { chip, gen } => gen != self.timer_gen[chip] || self.dma_free(chip),
             // The trace is scanned below.
             Ev::Trace => true,
-            ev => self.commutes(ev, events),
+            ev => self.commutes(ev),
         };
         let queued = self
             .queue
@@ -577,10 +576,11 @@ impl Engine<'_> {
             .filter(|&(_, &ev)| !lasting(ev))
             .map(|(t, _)| t)
             .min();
-        let traced = events[self.cursor..]
-            .iter()
+        let traced = self
+            .trace
+            .clone()
             .find(|e| !self.record_commutes(e))
-            .map(TraceEvent::time);
+            .map(|e| e.time());
         queued
             .into_iter()
             .chain(traced)
@@ -624,10 +624,10 @@ impl Engine<'_> {
 
     /// Gives up on the current reference period, and starts another one
     /// at `t` unless the window has used up its attempts.
-    fn retry(&mut self, t: SimTime, events: &[TraceEvent]) {
+    fn retry(&mut self, t: SimTime) {
         self.batch.attempts += 1;
         if self.batch.attempts < ATTEMPTS {
-            self.start_reference(t, events);
+            self.start_reference(t);
         } else {
             self.stop();
         }
@@ -635,10 +635,10 @@ impl Engine<'_> {
 
     /// Takes the signature opening a reference period at `t` and starts
     /// taping it, once a batch could fit before the bound.
-    fn start_reference(&mut self, t: SimTime, events: &[TraceEvent]) {
+    fn start_reference(&mut self, t: SimTime) {
         self.tape.on = false;
         self.batch.state = State::Warmup;
-        if self.batch_bound(t, events) <= t + self.batch.slot * (MIN_BATCH + 2) {
+        if self.batch_bound(t) <= t + self.batch.slot * (MIN_BATCH + 2) {
             return;
         }
         if self.capture(0, t) {

@@ -503,6 +503,23 @@ fn processor_access_to_the_train_chip_conserves() {
     conserve_train("own chip", &trace);
 }
 
+/// One stamp carries a processor access that commutes with the train
+/// (to chip 1) and, after it, one that does not (to the train's chip 0);
+/// a later stamp carries the same pair the other way round. The trace
+/// lookahead must read past the commuting record to see that the stamp
+/// closes the window, and the batch bound must stop at the stamp. The
+/// commuting-only stamps before it let batches run up to it.
+#[test]
+fn a_stamp_mixing_commuting_and_non_commuting_accesses_conserves() {
+    let mut extra: Vec<TraceEvent> = (0..4u64)
+        .map(|i| proc_access(4_000 + i * 3_000, 2048 + i))
+        .collect();
+    extra.extend([proc_access(20_000, 2048 + 7), proc_access(20_000, 5)]);
+    extra.extend([proc_access(40_000, 6), proc_access(40_000, 2048 + 8)]);
+    let trace = long_train_with(extra);
+    conserve_train("mixed stamp", &trace);
+}
+
 /// A transfer on another bus meets chip 3 asleep, so DMA-TA gathers its
 /// first request; a processor access to chip 3 then releases it while
 /// the train into chip 0 runs on.

@@ -17,7 +17,7 @@ use std::io::{self, BufRead, Write};
 use iobus::{DmaDirection, DmaSource};
 use simcore::SimTime;
 
-use crate::event::{DmaRecord, ProcRecord, Trace, TraceEvent};
+use crate::event::{DmaRecord, ProcRecord, Trace, TraceBuilder, TraceEvent};
 use crate::io::ParseTraceError;
 
 const MAGIC: &[u8; 4] = b"DMTR";
@@ -122,9 +122,9 @@ impl Trace {
             return Err(bad(format!("unsupported version {version}")));
         }
         let count = read_u64(&mut r)?;
-        // The count is untrusted input: a corrupt header must not reserve
-        // gigabytes up front, so growth past 64 Ki events is on demand.
-        let mut events = Vec::with_capacity(count.min(1 << 16) as usize);
+        // The count is untrusted input, so nothing is reserved from it: a
+        // corrupt header must not reserve gigabytes up front.
+        let mut trace = TraceBuilder::default();
         for i in 0..count {
             let tag = read_u8(&mut r)?;
             match tag {
@@ -146,7 +146,7 @@ impl Trace {
                         1 => DmaSource::Disk,
                         s => return Err(bad(format!("event {i}: bad source {s}"))),
                     };
-                    events.push(TraceEvent::Dma(DmaRecord {
+                    trace.push(TraceEvent::Dma(DmaRecord {
                         time,
                         bus,
                         page,
@@ -159,12 +159,12 @@ impl Trace {
                     let time = SimTime::from_ps(read_u64(&mut r)?);
                     let page = read_u32(&mut r)? as u64;
                     let bytes = read_u16(&mut r)? as u64;
-                    events.push(TraceEvent::Proc(ProcRecord { time, page, bytes }));
+                    trace.push(TraceEvent::Proc(ProcRecord { time, page, bytes }));
                 }
                 t => return Err(bad(format!("event {i}: unknown tag {t}"))),
             }
         }
-        Ok(Trace::from_events(events))
+        Ok(trace.build())
     }
 }
 

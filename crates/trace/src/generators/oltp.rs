@@ -21,7 +21,7 @@ use simcore::dist::{PoissonProcess, Zipf};
 use simcore::rng::DetRng;
 use simcore::{SimDuration, SimTime};
 
-use crate::event::{DmaRecord, ProcRecord, Trace, TraceEvent};
+use crate::event::{DmaRecord, ProcRecord, Trace, TraceBuilder, TraceEvent};
 use crate::generators::synthetic::sample_poisson_count;
 use crate::generators::{rank_permutation, TraceGen};
 use crate::lru::LruSet;
@@ -118,7 +118,7 @@ impl TraceGen for OltpStGen {
         // network DMA after a miss fill.
         let page_burst = SimDuration::from_bytes_at_rate(self.page_bytes, 1.064e9);
 
-        let mut events = Vec::new();
+        let mut trace = TraceBuilder::default();
         let mut bus_rr = 0usize;
         let next_bus = |rr: &mut usize| {
             let b = *rr;
@@ -137,7 +137,7 @@ impl TraceGen for OltpStGen {
 
             if is_write {
                 // Data arrives from the SAN into the cache...
-                events.push(TraceEvent::Dma(DmaRecord {
+                trace.push(TraceEvent::Dma(DmaRecord {
                     time: started,
                     bus: next_bus(&mut bus_rr),
                     page,
@@ -149,7 +149,7 @@ impl TraceGen for OltpStGen {
                 // ...and is destaged to disk later: the disk DMA reads
                 // memory when the destage is submitted.
                 let destage_at = started + self.destage_delay;
-                events.push(TraceEvent::Dma(DmaRecord {
+                trace.push(TraceEvent::Dma(DmaRecord {
                     time: destage_at,
                     bus: next_bus(&mut bus_rr),
                     page,
@@ -171,7 +171,7 @@ impl TraceGen for OltpStGen {
             let hit = cache.touch(page);
             if hit {
                 // Buffer-cache hit: ship straight out to the SAN.
-                events.push(TraceEvent::Dma(DmaRecord {
+                trace.push(TraceEvent::Dma(DmaRecord {
                     time: started,
                     bus: next_bus(&mut bus_rr),
                     page,
@@ -191,7 +191,7 @@ impl TraceGen for OltpStGen {
                     },
                 );
                 let fill_at = access.complete;
-                events.push(TraceEvent::Dma(DmaRecord {
+                trace.push(TraceEvent::Dma(DmaRecord {
                     time: fill_at,
                     bus: next_bus(&mut bus_rr),
                     page,
@@ -199,7 +199,7 @@ impl TraceGen for OltpStGen {
                     direction: DmaDirection::ToMemory,
                     source: DmaSource::Disk,
                 }));
-                events.push(TraceEvent::Dma(DmaRecord {
+                trace.push(TraceEvent::Dma(DmaRecord {
                     time: fill_at + page_burst + self.parse_delay,
                     bus: next_bus(&mut bus_rr),
                     page,
@@ -209,7 +209,7 @@ impl TraceGen for OltpStGen {
                 }));
             }
         }
-        Trace::from_events(events)
+        trace.build()
     }
 
     fn name(&self) -> &'static str {
@@ -279,15 +279,20 @@ impl TraceGen for OltpDbGen {
         let mut poisson = PoissonProcess::new(self.transfers_per_ms * 1e3);
         let end = SimTime::ZERO + duration;
 
-        let mut events = Vec::new();
+        let mut trace = TraceBuilder::default();
         let mut bus_rr = 0usize;
         loop {
             let t = poisson.next_arrival(&mut arrivals_rng);
             if t >= end {
                 break;
             }
+            // Arrivals come in time order and a burst starts at most half
+            // a window before its transfer.
+            trace.settle(
+                SimTime::ZERO + t.saturating_since(SimTime::ZERO + self.proc_burst_window / 2),
+            );
             let page = perm[zipf.sample(&mut pages_rng)];
-            events.push(TraceEvent::Dma(DmaRecord {
+            trace.push(TraceEvent::Dma(DmaRecord {
                 time: t,
                 bus: bus_rr,
                 page,
@@ -307,14 +312,14 @@ impl TraceGen for OltpDbGen {
                 } else {
                     perm[zipf.sample(&mut proc_rng)]
                 };
-                events.push(TraceEvent::Proc(ProcRecord {
+                trace.push(TraceEvent::Proc(ProcRecord {
                     time: at,
                     page: proc_page,
                     bytes: 64,
                 }));
             }
         }
-        Trace::from_events(events)
+        trace.build()
     }
 
     fn name(&self) -> &'static str {
@@ -357,7 +362,7 @@ mod tests {
         let t = OltpStGen::default().generate(SimDuration::from_ms(20), 5);
         // Every disk ToMemory fill is followed by a network FromMemory of
         // the same page.
-        let events = t.events();
+        let events: Vec<TraceEvent> = t.iter().collect();
         let mut checked = 0;
         for (i, e) in events.iter().enumerate() {
             if let TraceEvent::Dma(d) = e {

@@ -5,7 +5,7 @@ use simcore::dist::{PoissonProcess, Zipf};
 use simcore::rng::DetRng;
 use simcore::{SimDuration, SimTime};
 
-use crate::event::{DmaRecord, ProcRecord, Trace, TraceEvent};
+use crate::event::{DmaRecord, ProcRecord, Trace, TraceBuilder, TraceEvent};
 use crate::generators::{rank_permutation, TraceGen};
 
 /// `Synthetic-St` (paper Table 2): storage-server memory workload with
@@ -65,7 +65,7 @@ impl TraceGen for SyntheticStorageGen {
         let mut poisson = PoissonProcess::new(self.transfers_per_ms * 1e3);
         let end = SimTime::ZERO + duration;
 
-        let mut events = Vec::new();
+        let mut trace = TraceBuilder::default();
         let mut bus_rr = 0usize;
         loop {
             let t = poisson.next_arrival(&mut arrivals_rng);
@@ -80,7 +80,7 @@ impl TraceGen for SyntheticStorageGen {
             } else {
                 (DmaSource::Network, DmaDirection::FromMemory)
             };
-            events.push(TraceEvent::Dma(DmaRecord {
+            trace.push(TraceEvent::Dma(DmaRecord {
                 time: t,
                 bus: bus_rr,
                 page,
@@ -90,7 +90,7 @@ impl TraceGen for SyntheticStorageGen {
             }));
             bus_rr = (bus_rr + 1) % self.buses;
         }
-        Trace::from_events(events)
+        trace.build()
     }
 
     fn name(&self) -> &'static str {
@@ -166,16 +166,21 @@ impl TraceGen for SyntheticDbGen {
         let mut poisson = PoissonProcess::new(self.transfers_per_ms * 1e3);
         let end = SimTime::ZERO + duration;
 
-        let mut events = Vec::new();
+        let mut trace = TraceBuilder::default();
         let mut bus_rr = 0usize;
         loop {
             let t = poisson.next_arrival(&mut arrivals_rng);
             if t >= end {
                 break;
             }
+            // Arrivals come in time order and a burst starts at most half
+            // a window before its transfer.
+            trace.settle(
+                SimTime::ZERO + t.saturating_since(SimTime::ZERO + self.proc_burst_window / 2),
+            );
             let rank = zipf.sample(&mut pages_rng);
             let page = perm[rank];
-            events.push(TraceEvent::Dma(DmaRecord {
+            trace.push(TraceEvent::Dma(DmaRecord {
                 time: t,
                 bus: bus_rr,
                 page,
@@ -199,7 +204,7 @@ impl TraceGen for SyntheticDbGen {
                     } else {
                         perm[zipf.sample(&mut proc_rng)]
                     };
-                    events.push(TraceEvent::Proc(ProcRecord {
+                    trace.push(TraceEvent::Proc(ProcRecord {
                         time: at,
                         page: proc_page,
                         bytes: 64,
@@ -207,7 +212,7 @@ impl TraceGen for SyntheticDbGen {
                 }
             }
         }
-        Trace::from_events(events)
+        trace.build()
     }
 
     fn name(&self) -> &'static str {

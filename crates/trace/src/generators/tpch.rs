@@ -4,7 +4,7 @@ use iobus::{DmaDirection, DmaSource};
 use simcore::rng::DetRng;
 use simcore::{SimDuration, SimTime};
 
-use crate::event::{DmaRecord, ProcRecord, Trace, TraceEvent};
+use crate::event::{DmaRecord, ProcRecord, Trace, TraceBuilder, TraceEvent};
 use crate::generators::TraceGen;
 
 /// A decision-support (TPC-H-like) workload: several concurrent sequential
@@ -65,14 +65,14 @@ impl TraceGen for TpchScanGen {
         let end = SimTime::ZERO + duration;
         let gap = SimDuration::from_secs_f64(1e-3 / self.pages_per_ms_per_stream);
 
-        let mut events = Vec::new();
+        let mut trace = TraceBuilder::default();
         for stream in 0..self.streams {
             let mut rng = root.fork(stream as u64 + 1);
             let mut page = rng.below(self.pages as u64);
             let mut t = SimTime::ZERO + gap.mul_f64(rng.uniform());
             let bus = stream % self.buses;
             while t < end {
-                events.push(TraceEvent::Dma(DmaRecord {
+                trace.push(TraceEvent::Dma(DmaRecord {
                     time: t,
                     bus,
                     page,
@@ -82,7 +82,7 @@ impl TraceGen for TpchScanGen {
                 }));
                 let procs = rng.exponential(self.proc_per_page.max(1e-9)).round() as u64;
                 for _ in 0..procs {
-                    events.push(TraceEvent::Proc(ProcRecord {
+                    trace.push(TraceEvent::Proc(ProcRecord {
                         time: t + gap.mul_f64(rng.uniform() * 0.5),
                         page,
                         bytes: 64,
@@ -93,7 +93,7 @@ impl TraceGen for TpchScanGen {
                 t += gap.mul_f64(jitter.max(0.01));
             }
         }
-        Trace::from_events(events)
+        trace.build()
     }
 
     fn name(&self) -> &'static str {

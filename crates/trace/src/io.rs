@@ -15,7 +15,7 @@ use std::io::{self, BufRead, Write};
 use iobus::{DmaDirection, DmaSource};
 use simcore::SimTime;
 
-use crate::event::{DmaRecord, ProcRecord, Trace, TraceEvent};
+use crate::event::{DmaRecord, ProcRecord, Trace, TraceBuilder, TraceEvent};
 
 /// Why a trace file failed to parse.
 #[derive(Debug)]
@@ -108,7 +108,7 @@ impl Trace {
     ///
     /// Returns [`ParseTraceError`] on I/O failure or malformed input.
     pub fn read_text<R: BufRead>(r: R) -> Result<Trace, ParseTraceError> {
-        let mut events = Vec::new();
+        let mut trace = TraceBuilder::default();
         for (i, line) in r.lines().enumerate() {
             let line_no = i + 1;
             let line = line?;
@@ -149,7 +149,7 @@ impl Trace {
                             ))
                         }
                     };
-                    events.push(TraceEvent::Dma(DmaRecord {
+                    trace.push(TraceEvent::Dma(DmaRecord {
                         time: SimTime::from_ps(time_ps),
                         bus,
                         page,
@@ -162,7 +162,7 @@ impl Trace {
                     let time_ps: u64 = field(&mut parts, line_no, "time")?;
                     let page: u64 = field(&mut parts, line_no, "page")?;
                     let bytes: u64 = field(&mut parts, line_no, "bytes")?;
-                    events.push(TraceEvent::Proc(ProcRecord {
+                    trace.push(TraceEvent::Proc(ProcRecord {
                         time: SimTime::from_ps(time_ps),
                         page,
                         bytes,
@@ -182,7 +182,7 @@ impl Trace {
                 ));
             }
         }
-        Ok(Trace::from_events(events))
+        Ok(trace.build())
     }
 }
 

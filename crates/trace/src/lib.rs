@@ -19,6 +19,17 @@
 //! ([`TraceStats`], for regenerating Table 2) and the popularity CDF of
 //! Figure 4 ([`PopularityCdf`]).
 //!
+//! Database traces are almost all processor accesses, so a trace is
+//! stored by column: 8 bytes per processor access (a page and the time
+//! since the previous record), DMA transfers in a column of their own,
+//! and an escape column for the rare record that fits neither. Records
+//! are read by value through a forward [`Cursor`]. The generators, the
+//! readers and every operation that makes a trace share one packer,
+//! which sorts by time in place without holding a [`TraceEvent`] per
+//! record. The database generators let it pack as they go, so
+//! generating one holds its packed columns and a bounded staging area,
+//! not a staged record per event.
+//!
 //! # Example
 //!
 //! ```
@@ -43,7 +54,7 @@ mod lru;
 mod popularity;
 mod stats;
 
-pub use event::{DmaRecord, ProcRecord, Trace, TraceEvent};
+pub use event::{Cursor, DmaRecord, ProcRecord, Trace, TraceEvent};
 pub use generators::{
     OltpDbGen, OltpStGen, SyntheticDbGen, SyntheticStorageGen, TpchScanGen, TraceGen,
 };

@@ -1,10 +1,12 @@
 //! Property tests for trace generation and serialization.
 
 use dma_trace::{
-    OltpDbGen, OltpStGen, SyntheticDbGen, SyntheticStorageGen, TpchScanGen, Trace, TraceGen,
+    DmaRecord, OltpDbGen, OltpStGen, ProcRecord, SyntheticDbGen, SyntheticStorageGen, TpchScanGen,
+    Trace, TraceEvent, TraceGen,
 };
+use iobus::{DmaDirection, DmaSource};
 use proptest::prelude::*;
-use simcore::SimDuration;
+use simcore::{SimDuration, SimTime};
 
 fn generators() -> Vec<Box<dyn TraceGen>> {
     vec![
@@ -35,8 +37,127 @@ fn generators() -> Vec<Box<dyn TraceGen>> {
     ]
 }
 
+/// One record from raw draws, spread over what a trace must store
+/// exactly: equal stamps, gaps around and past the widths the layout
+/// packs (2^30 and 2^32 ps, and the top of the clock), pages of 2^32 and
+/// above, processor accesses of other than 64 bytes, and DMAs among the
+/// accesses.
+fn record((kind, when, a, b): (u8, u8, u64, u64)) -> TraceEvent {
+    let time = SimTime::from_ps(match when {
+        0 => 0,
+        1 => a % 8,
+        2 => a % (1 << 20) * 1_000,
+        3 => (1 << 30) - 2 + a % 4,
+        4 => (1 << 32) + a % (1 << 40),
+        _ => a,
+    });
+    match kind {
+        0..=4 => TraceEvent::Proc(ProcRecord {
+            time,
+            page: b % 4096,
+            bytes: 64,
+        }),
+        5 => TraceEvent::Proc(ProcRecord {
+            time,
+            page: (1 << 32) - 1 + b % 3,
+            bytes: 64,
+        }),
+        6 => TraceEvent::Proc(ProcRecord {
+            time,
+            page: b % 4096,
+            bytes: b % 200,
+        }),
+        _ => TraceEvent::Dma(DmaRecord {
+            time,
+            bus: (b % 5) as usize,
+            page: b >> 8,
+            bytes: 1 + b % 10_000,
+            direction: if b & 1 == 0 {
+                DmaDirection::FromMemory
+            } else {
+                DmaDirection::ToMemory
+            },
+            source: if b & 2 == 0 {
+                DmaSource::Network
+            } else {
+                DmaSource::Disk
+            },
+        }),
+    }
+}
+
+fn records() -> impl Strategy<Value = Vec<TraceEvent>> {
+    prop::collection::vec(
+        (0u8..10, 0u8..6, any::<u64>(), any::<u64>()).prop_map(record),
+        0..120,
+    )
+}
+
+/// The reference model: a stable sort by time.
+fn sorted(mut v: Vec<TraceEvent>) -> Vec<TraceEvent> {
+    v.sort_by_key(|e| e.time());
+    v
+}
+
+fn events(t: &Trace) -> Vec<TraceEvent> {
+    t.iter().collect()
+}
+
+/// True when every field of `e` fits the binary format's widths.
+fn fits_binary(e: &TraceEvent) -> bool {
+    match e {
+        TraceEvent::Dma(d) => d.bus <= 0xffff && d.bytes <= u64::from(u32::MAX),
+        TraceEvent::Proc(p) => p.page <= u64::from(u32::MAX) && p.bytes <= 0xffff,
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A built trace reads back as the stable sort of what it was built
+    /// from, and so does every operation that rebuilds one.
+    #[test]
+    fn trace_ops_match_a_sorted_vec(v in records(), w in records(), cut in 0usize..130) {
+        let t = Trace::from_events(v.clone());
+        let want = sorted(v.clone());
+        prop_assert_eq!(events(&t), want.clone());
+        prop_assert_eq!(t.len(), v.len());
+        prop_assert_eq!(
+            t.duration(),
+            want.last().map_or(SimDuration::ZERO, |e| e.time().elapsed_since(SimTime::ZERO))
+        );
+        prop_assert_eq!(&v.iter().copied().collect::<Trace>(), &t);
+
+        let u = Trace::from_events(w.clone());
+        let merged = sorted(want.iter().chain(&sorted(w.clone())).copied().collect());
+        prop_assert_eq!(events(&t.clone().merge(u)), merged);
+
+        let mut extended = t.clone();
+        extended.extend(w.iter().copied());
+        prop_assert_eq!(events(&extended), sorted(want.iter().chain(&w).copied().collect()));
+
+        let cutoff = want.get(cut).map_or(SimTime::NEVER, |e| e.time());
+        let prefix: Vec<TraceEvent> = want.iter().copied().take_while(|e| e.time() < cutoff).collect();
+        prop_assert_eq!(events(&t.truncated(cutoff)), prefix);
+    }
+
+    /// Text round-trips always hold; binary ones hold whenever every
+    /// field fits the format, which refuses the trace otherwise.
+    #[test]
+    fn serialisations_round_trip(v in records()) {
+        let t = Trace::from_events(v);
+        let mut text = Vec::new();
+        t.write_text(&mut text).unwrap();
+        prop_assert_eq!(&Trace::read_text(text.as_slice()).unwrap(), &t);
+        let mut bin = Vec::new();
+        match t.write_binary(&mut bin) {
+            Ok(()) => prop_assert_eq!(&Trace::read_binary(bin.as_slice()).unwrap(), &t),
+            Err(e) => {
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                prop_assert!(!t.iter().all(|e| fits_binary(&e)), "refused a trace that fits");
+            }
+        }
+    }
 
     /// Every generator produces time-ordered events on valid pages/buses,
     /// deterministically per seed, and survives a text round-trip.

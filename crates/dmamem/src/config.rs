@@ -56,13 +56,6 @@ pub struct TaConfig {
     /// nothing more (Section 4.1.2: no need to delay beyond what full
     /// utilization requires), so the controller caps individual delays.
     pub max_delay: SimDuration,
-    /// Optional Section 4.1.3 alternative to strict CPU priority: the
-    /// share `x` of a chip's active cycles DMA may use. After
-    /// `ceil(x / (1 - x))` consecutive DMA services the chip leaves a
-    /// cache-line-sized gap for processor accesses, so the processor's
-    /// share is `1 - x`. Must lie in (0, 1). `None` (the paper's
-    /// evaluated choice) gives processor accesses strict priority.
-    pub cpu_reservation: Option<f64>,
 }
 
 impl TaConfig {
@@ -77,7 +70,6 @@ impl TaConfig {
             mu,
             epoch: SimDuration::from_us(1),
             max_delay: SimDuration::from_us(500),
-            cpu_reservation: None,
         }
     }
 }
@@ -170,14 +162,10 @@ impl Scheme {
     /// # Panics
     ///
     /// Panics if the DMA-TA epoch or the PL interval is zero (either
-    /// would re-arm its periodic event at the same instant forever), or if
-    /// the CPU reservation lies outside (0, 1).
+    /// would re-arm its periodic event at the same instant forever).
     pub fn validate(&self) {
         if let Some(ta) = self.ta {
             assert!(!ta.epoch.is_zero(), "DMA-TA epoch must be positive");
-            if let Some(x) = ta.cpu_reservation {
-                assert!(x > 0.0 && x < 1.0, "cpu_reservation {x} outside (0, 1)");
-            }
         }
         if let Some(pl) = self.pl {
             assert!(!pl.interval.is_zero(), "PL interval must be positive");
@@ -393,6 +381,5 @@ mod tests {
     fn ta_config_defaults() {
         let ta = TaConfig::new(0.3);
         assert_eq!(ta.epoch, SimDuration::from_us(1));
-        assert!(ta.cpu_reservation.is_none());
     }
 }

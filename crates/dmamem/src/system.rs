@@ -216,8 +216,6 @@ enum Ev {
     TransitionDone { chip: usize },
     /// The low-level policy wants to sleep an idle chip.
     PolicyTimer { chip: usize, gen: u64 },
-    /// End of a reserved-for-CPU idle gap (Section 4.1.3 alternative).
-    CpuGapDone { chip: usize },
     /// DMA-TA epoch accounting tick.
     EpochTick,
     /// PL layout recomputation.
@@ -230,8 +228,7 @@ impl Ev {
         match self {
             Ev::ServiceDone { chip }
             | Ev::TransitionDone { chip }
-            | Ev::PolicyTimer { chip, .. }
-            | Ev::CpuGapDone { chip } => Some(chip),
+            | Ev::PolicyTimer { chip, .. } => Some(chip),
             _ => None,
         }
     }
@@ -459,8 +456,6 @@ struct Engine<'a> {
     planned_mode: Vec<Option<PowerMode>>,
     wake_requested: Vec<bool>,
     idle_start: Vec<SimTime>,
-    /// Consecutive DMA services since the last CPU gap (cpu_reservation).
-    dma_streak: Vec<u32>,
     buses: Vec<Bus>,
     bus_gen: Vec<u64>,
     page_map: PageMap,
@@ -580,7 +575,6 @@ impl<'a> Engine<'a> {
             planned_mode: vec![None; config.chips],
             wake_requested: vec![false; config.chips],
             idle_start: vec![SimTime::ZERO; config.chips],
-            dma_streak: vec![0; config.chips],
             buses,
             bus_gen: vec![0; config.buses.len()],
             page_map: PageMap::new_sequential(config),
@@ -686,9 +680,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        self.trains = !self.classic
-            && self.obs_quiet
-            && self.scheme.ta.and_then(|ta| ta.cpu_reservation).is_none();
+        self.trains = !self.classic && self.obs_quiet;
         let mut watermark_due: u64 = 0;
         while let Some((t, ev)) = self.queue.pop() {
             debug_assert!(t >= self.now, "event time went backwards");
@@ -816,7 +808,6 @@ impl<'a> Engine<'a> {
             Ev::ServiceDone { chip } => self.on_service_done(chip),
             Ev::TransitionDone { chip } => self.on_transition_done(chip),
             Ev::PolicyTimer { chip, gen } => self.on_policy_timer(chip, gen),
-            Ev::CpuGapDone { chip } => self.try_serve(chip),
             Ev::EpochTick => self.on_epoch_tick(jump),
             Ev::PlInterval => self.on_pl_interval(),
         }
@@ -1018,7 +1009,7 @@ impl<'a> Engine<'a> {
                     .take_while(|e| Some(e.time()) == at)
                     .all(|e| self.record_commutes(&e))
             }
-            Ev::CpuGapDone { .. } | Ev::PlInterval => false,
+            Ev::PlInterval => false,
         }
     }
 
@@ -1376,7 +1367,6 @@ impl<'a> Engine<'a> {
         if !self.chips[chip].chip.is_free(self.now) || self.serving[chip].is_some() {
             return;
         }
-        let gap_due = self.cpu_gap_due(chip);
         let c = &mut self.chips[chip];
         // Priority: processor > DMA > migration (Section 4.1.3, first
         // solution; migration hides in otherwise-idle cycles).
@@ -1385,15 +1375,6 @@ impl<'a> Engine<'a> {
             c.chip
                 .begin_service(self.now, self.proc_service, EnergyCategory::ActiveServing);
             self.serving[chip] = Some(Serving::Proc);
-            self.dma_streak[chip] = 0;
-        } else if gap_due {
-            // Section 4.1.3 second solution: cap DMA utilization of the
-            // active cycles, leaving a cache-line-sized service gap for
-            // processor accesses. The chip stays active (the gap is billed
-            // as DMA-idle time by the usual classification).
-            self.dma_streak[chip] = 0;
-            self.schedule(self.now + self.proc_service, Ev::CpuGapDone { chip });
-            return;
         } else if let Some(r) = c.dma_ready.pop_front() {
             let service = self.service_time_memo(r.req.bytes);
             let (c, tape) = (&mut self.chips[chip], &mut self.tape);
@@ -1408,7 +1389,6 @@ impl<'a> Engine<'a> {
                 arrival: r.arrival,
                 service,
             });
-            self.dma_streak[chip] += 1;
             if r.req.is_first {
                 self.tape.taint();
                 self.buses[r.req.bus].ack_first(r.req.transfer, self.now);
@@ -1447,22 +1427,6 @@ impl<'a> Engine<'a> {
             self.service_memo = (bytes, self.config.power_model.service_time(bytes));
         }
         self.service_memo.1
-    }
-
-    /// True when the CPU-reservation alternative is enabled and this chip
-    /// has served enough consecutive DMA requests that the reserved share
-    /// of active cycles is due.
-    fn cpu_gap_due(&self, chip: usize) -> bool {
-        let Some(reservation) = self.scheme.ta.and_then(|ta| ta.cpu_reservation) else {
-            return false;
-        };
-        if self.chips[chip].dma_ready.is_empty() {
-            return false;
-        }
-        // With fraction x of cycles for DMA, allow ceil(x / (1 - x))
-        // consecutive DMA services between gaps.
-        let limit = (reservation / (1.0 - reservation)).ceil().max(1.0) as u32;
-        self.dma_streak[chip] >= limit
     }
 
     fn on_service_done(&mut self, chip: usize) {
@@ -1929,25 +1893,6 @@ mod tests {
     }
 
     #[test]
-    fn cpu_reservation_leaves_gaps_and_still_completes() {
-        let config = small_config();
-        let mut scheme = Scheme::dma_ta(0.5);
-        scheme.ta.as_mut().unwrap().cpu_reservation = Some(0.75);
-        let trace = Trace::from_events(vec![dma_at(0, 0, 0), dma_at(0, 1, 1), dma_at(0, 2, 2)]);
-        let r = ServerSimulator::new(config.clone(), scheme).run(&trace);
-        assert_eq!(r.transfers, 3);
-        // The reservation caps DMA utilization below the unreserved run.
-        let unreserved = ServerSimulator::new(config, Scheme::dma_ta(0.5)).run(&trace);
-        assert!(
-            r.utilization_factor() <= unreserved.utilization_factor() + 1e-9,
-            "reserved {} vs unreserved {}",
-            r.utilization_factor(),
-            unreserved.utilization_factor()
-        );
-        assert!(r.transfer_response.mean_ns() >= unreserved.transfer_response.mean_ns());
-    }
-
-    #[test]
     fn chunked_migration_hides_in_idle_cycles() {
         // Section 4.2.2: with request-sized migration chunks, PL's copies
         // slot into the chip's inter-request idle gaps instead of blocking
@@ -2009,14 +1954,6 @@ mod tests {
     fn zero_pl_interval_panics() {
         let mut scheme = Scheme::dma_ta_pl(0.5, 2);
         scheme.pl.as_mut().unwrap().interval = SimDuration::ZERO;
-        let _ = ServerSimulator::new(small_config(), scheme);
-    }
-
-    #[test]
-    #[should_panic(expected = "cpu_reservation 1 outside (0, 1)")]
-    fn cpu_reservation_outside_the_unit_interval_panics() {
-        let mut scheme = Scheme::dma_ta(0.5);
-        scheme.ta.as_mut().unwrap().cpu_reservation = Some(1.0);
         let _ = ServerSimulator::new(small_config(), scheme);
     }
 

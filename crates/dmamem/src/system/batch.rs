@@ -306,9 +306,8 @@ struct Counts {
     bus_gen: Vec<u64>,
     /// Per Ready stream, as in [`Shape::streams`]: requests issued.
     issued: Vec<u64>,
-    /// Per train chip, as in [`Shape::chips`]: policy-timer generation
-    /// and DMA streak.
-    chip: Vec<(u64, u32)>,
+    /// Per train chip, as in [`Shape::chips`]: policy-timer generation.
+    chip: Vec<u64>,
 }
 
 /// The train state at one period boundary.
@@ -704,7 +703,6 @@ impl Engine<'_> {
             planned_mode,
             wake_requested,
             idle_start,
-            dma_streak,
             tracks,
             phases,
             ..
@@ -797,9 +795,7 @@ impl Engine<'_> {
                 serving,
                 queued: c.dma_ready.len(),
             };
-            if !push(&mut shape.chips, chip)
-                || !push(&mut counts.chip, (timer_gen[id], dma_streak[id]))
-            {
+            if !push(&mut shape.chips, chip) || !push(&mut counts.chip, timer_gen[id]) {
                 return false;
             }
             for r in &c.dma_ready {
@@ -941,11 +937,10 @@ impl Engine<'_> {
             batch.bus_inc[bus] = n * (g1 - g0);
             self.bus_gen[bus] += batch.bus_inc[bus];
         }
-        for ((chip, &(g0, k0)), &(g1, k1)) in s1.shape.chips.iter().zip(&c0.chip).zip(&c1.chip) {
+        for ((chip, &g0), &g1) in s1.shape.chips.iter().zip(&c0.chip).zip(&c1.chip) {
             let id = chip.chip;
             batch.timer_inc[id] = n * (g1 - g0);
             self.timer_gen[id] += batch.timer_inc[id];
-            self.dma_streak[id] += (k1 - k0) * n as u32;
             self.idle_start[id] += shift;
             // The in-flight requests are the same ones `n` periods on:
             // later arrivals, and each `d·n` further into its transfer.

@@ -5,11 +5,14 @@
 //! ```
 //!
 //! `EXHIBIT` is one of `table1 table2 fig2a fig2b fig3 fig4 fig5 fig6 fig7
-//! fig8 fig9 fig10 groups all` (default `all`), or `ablations`, the design
-//! ablations on Synthetic-St, which `all` leaves out. `--ms` sets the simulated
-//! trace length per run (default 50), `--seed` the workload seed (default
-//! 42), and `--csv DIR` additionally writes each figure's data as CSV files
-//! into `DIR` for replotting.
+//! fig8 fig9 fig10 tpch groups all` (default `all`; the list is
+//! `bench::exhibits::EXHIBITS`), or one of the two exhibits `all` leaves
+//! out: `ablations`, the design ablations on Synthetic-St, and
+//! `trace-report` (below). Any other name is an error, whatever flags
+//! come with it. `--ms` sets the simulated trace length per run (default
+//! 50), `--seed` the workload seed (default 42), and `--csv DIR`
+//! additionally writes each figure's data as CSV files into `DIR` for
+//! replotting.
 //!
 //! Sweep-engine flags: `--threads N` runs the figure simulations on `N`
 //! workers (`0` = all cores, the default; output is bit-identical at any
@@ -22,8 +25,8 @@
 //! trace-cache hits per figure, per-phase calls) as JSON — the committed
 //! `BENCH_engine.json` baseline the `baseline_diff` gate compares against.
 //! Its confirmation goes to stderr so stdout stays byte-identical with
-//! and without it. Per-figure attribution requires a per-figure exhibit
-//! or `all`. Host time is measured by the `benchmark/` harness, not here.
+//! and without it. Each exhibit that touched the sweep context gets a
+//! row. Host time is measured by the `benchmark/` harness, not here.
 //!
 //! Observability flags add an instrumented DMA-TA-PL(2) run on OLTP-St:
 //! `--events-out FILE` exports its structured event stream as JSONL,
@@ -60,11 +63,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use bench::exhibits::{self, EXHIBITS};
 use bench::sweep::SweepRunner;
-use bench::{
-    breakdown_line, fig10_table, fig4_table, fig5_table, fig7_table, fig8_table, fig9_table,
-    table2_rows_text, ALL_WORKLOADS, BUS_RATE_SWEEP, CP_SWEEP, INTENSITY_SWEEP, PROC_SWEEP,
-};
 use dmamem::experiments::{self, ExpConfig};
 use simcore::obs::serve::serve;
 use simcore::obs::{LiveState, ServerHandle, SpillSink};
@@ -142,6 +142,9 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown flag {other}")),
         }
     }
+    let Some(selected) = exhibits::select(&exhibit) else {
+        return usage(&format!("unknown exhibit {exhibit:?}"));
+    };
     if quick && !ms_set {
         ms = 2;
     }
@@ -177,150 +180,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let write_csv = |name: &str, contents: String| {
-        if let Some(dir) = &csv_dir {
-            let path = dir.join(name);
-            if let Err(e) = fs::write(&path, contents) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("(csv written to {})", path.display());
-            }
-        }
-    };
-    let all = exhibit == "all";
-    let mut matched = false;
-    let section = |name: &str| {
-        println!("\n================ {name} ================");
-    };
-
-    if all || exhibit == "table1" {
-        matched = true;
-        section("Table 1: RDRAM power model");
-        println!("{}", experiments::table1_text());
-    }
-    if all || exhibit == "table2" {
-        matched = true;
-        section("Table 2: trace characteristics");
-        println!("{}", table2_rows_text(&runner.table2(exp)));
-        println!("(paper: OLTP-St 45.0 net + 16.7 disk /ms; OLTP-Db 100/ms + 23,300 proc/ms)");
-    }
-    if all || exhibit == "fig2a" {
-        matched = true;
-        section("Figure 2(a): cycle waste during one DMA transfer");
-        let f = experiments::fig2a();
-        println!(
-            "serving {:.1} cycles + idle {:.1} cycles per request; measured single-transfer uf = {:.3} (paper: 4 + 8, uf = 1/3)",
-            f.serving_cycles, f.idle_cycles, f.measured_uf
-        );
-        println!("\n{}", experiments::fig2a_timeline());
-    }
-    if all || exhibit == "fig2b" {
-        matched = true;
-        section("Figure 2(b): baseline energy breakdowns");
-        for (name, e) in runner.fig2b(exp) {
-            println!("{name}: {}", breakdown_line(&e));
-        }
-        println!("(paper: Active Idle DMA 48-51%, Active Serving 26-27%, threshold 3-4%)");
-    }
-    if all || exhibit == "fig3" {
-        matched = true;
-        section("Figure 3: temporal alignment of staggered transfers");
-        let f = experiments::fig3();
-        println!(
-            "baseline uf {:.2} -> DMA-TA uf {:.2} ({} first requests delayed, then lockstep)",
-            f.baseline_uf, f.ta_uf, f.delayed_firsts
-        );
-        println!("\n{}", experiments::fig3_timeline());
-    }
-    if all || exhibit == "fig4" {
-        matched = true;
-        section("Figure 4: OLTP-St page-popularity CDF");
-        let pts = experiments::fig4(exp, 10);
-        println!("{}", fig4_table(&pts));
-        write_csv("fig4.csv", bench::csv::fig4(&pts));
-        println!("(paper: ~20% of pages receive ~60% of DMA accesses)");
-    }
-    if all || exhibit == "fig5" {
-        matched = true;
-        section("Figure 5: energy savings vs CP-Limit");
-        let rows = runner.fig5(exp, &ALL_WORKLOADS, &CP_SWEEP);
-        println!("{}", fig5_table(&rows));
-        write_csv("fig5.csv", bench::csv::fig5(&rows));
-        println!("(paper: up to 38.6% for OLTP-St DMA-TA-PL(2) at 10%; savings rise then plateau)");
-    }
-    if all || exhibit == "fig6" {
-        matched = true;
-        section("Figure 6: energy breakdowns at 10% CP-Limit (OLTP-St)");
-        let mut csv = String::from("scheme,category,energy_mj,fraction\n");
-        for (name, e) in runner.fig6(exp, 0.10) {
-            println!("{name}: {}", breakdown_line(&e));
-            csv.push_str(&bench::csv::breakdown(&name, &e));
-        }
-        write_csv("fig6.csv", csv);
-    }
-    if all || exhibit == "fig7" {
-        matched = true;
-        section("Figure 7: utilization factors vs CP-Limit (OLTP-St)");
-        let rows = runner.fig7(exp, &CP_SWEEP);
-        println!("{}", fig7_table(&rows));
-        write_csv("fig7.csv", bench::csv::fig7(&rows));
-        println!("(paper: baseline ~0.33; DMA-TA-PL 0.63 at 10%, 0.75 at 30%)");
-    }
-    if all || exhibit == "fig8" {
-        matched = true;
-        section("Figure 8: savings vs workload intensity (Synthetic-St)");
-        let rows = runner.fig8(exp, &INTENSITY_SWEEP, 0.10);
-        println!("{}", fig8_table(&rows));
-        write_csv("fig8.csv", bench::csv::fig8(&rows));
-    }
-    if all || exhibit == "fig9" {
-        matched = true;
-        section("Figure 9: savings vs processor accesses per transfer (Synthetic-Db)");
-        let rows = runner.fig9(exp, &PROC_SWEEP, 0.10);
-        println!("{}", fig9_table(&rows));
-        write_csv("fig9.csv", bench::csv::fig9(&rows));
-        println!(
-            "(paper: savings drop with processor accesses but stay significant; OLTP-Db ~233)"
-        );
-    }
-    if all || exhibit == "fig10" {
-        matched = true;
-        section("Figure 10: savings vs memory/I-O bandwidth ratio");
-        let rows = runner.fig10(exp, &BUS_RATE_SWEEP, 0.10);
-        println!("{}", fig10_table(&rows));
-        write_csv("fig10.csv", bench::csv::fig10(&rows));
-        println!("(paper: ~5% at ratio ~1, growing with the ratio)");
-    }
-
-    if all || exhibit == "tpch" {
-        matched = true;
-        section("Extension: TPC-H-style scans (paper future work)");
-        for row in runner.tpch(exp, 0.10) {
-            println!(
-                "{}: savings {:+.1}%, uf {:.2}, {} page moves",
-                row.scheme,
-                row.savings * 100.0,
-                row.uf,
-                row.page_moves
-            );
-        }
-        println!("(uniform scan popularity: PL has nothing to concentrate; DMA-TA still aligns colliding scans)");
-    }
-    if all || exhibit == "groups" {
-        matched = true;
-        section("Ablation: PL group count (scaled 64-frame chips, Zipf 0.5)");
-        for row in runner.group_ablation(exp, 0.10) {
-            println!(
-                "K = {}: savings {:+.1}% ({} page moves)",
-                row.groups,
-                row.savings * 100.0,
-                row.page_moves
-            );
-        }
-        println!("(paper Figure 5: K = 2 best; K = 6 pays heavy migration churn, e.g. -15.2% on OLTP-St)");
+    let section = |title: &str| print!("{}", exhibits::header(title));
+    for ex in selected {
+        print!("{}", ex.section(&mut runner, exp, csv_dir.as_deref()));
     }
     if exhibit == "ablations" {
-        matched = true;
         section("Ablations: design sensitivities (Synthetic-St)");
         for ablation in runner.timed("ablations", |ctx| experiments::ablations_ctx(ctx, exp)) {
             println!("--- {} ---", ablation.title);
@@ -343,9 +207,10 @@ fn main() -> ExitCode {
     }
 
     if events_out.is_some() || metrics_out.is_some() || obs_summary {
-        matched = true;
         section("Observability: instrumented DMA-TA-PL(2) run (OLTP-St)");
-        let run = runner.observed_run(exp, 0.10, 1 << 18);
+        let run = runner.timed("observed", |ctx| {
+            experiments::observed_run_ctx(ctx, exp, 0.10, 1 << 18)
+        });
         print!("{}", bench::obs_summary_table(&run));
         let obs = run.result.obs.as_ref().expect("instrumented run");
         if let Some(path) = &events_out {
@@ -368,7 +233,10 @@ fn main() -> ExitCode {
                 }
             }
         }
-        write_csv("obs_summary.csv", bench::csv::obs_summary(&run));
+        if let Some(dir) = &csv_dir {
+            let csv = bench::csv::obs_summary(&run);
+            print!("{}", exhibits::write_csv(dir, "obs_summary.csv", &csv));
+        }
     }
 
     if exhibit == "trace-report"
@@ -377,7 +245,6 @@ fn main() -> ExitCode {
         || attrib_summary
         || trace_check
     {
-        matched = true;
         section("Trace report: causally-traced runs (fig-2 workloads + DMA-TA)");
         // The exported run (the DMA-TA one, last) streams into
         // --trace-out; the file is created before the run starts.
@@ -459,7 +326,6 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &prof_out {
-        matched = true;
         let report = bench::perf_report::EngineReport::from_runner(&runner, ms as f64, seed);
         if let Err(e) = fs::write(path, report.to_json()) {
             eprintln!("error: cannot write {}: {e}", path.display());
@@ -470,18 +336,7 @@ fn main() -> ExitCode {
         eprintln!("(engine profile written to {})", path.display());
     }
 
-    if !matched {
-        return usage(&format!("unknown exhibit {exhibit:?}"));
-    }
-    let stats = runner.memo_stats();
-    if stats.hits + stats.misses > 0 {
-        println!(
-            "\n(sweep engine: {} simulations run, {} served from memo, {} worker thread(s))",
-            stats.misses,
-            stats.hits,
-            runner.threads()
-        );
-    }
+    print!("{}", exhibits::footer(&runner));
     // Orderly shutdown (Drop also covers the early-return paths).
     if let Some(h) = server {
         h.shutdown();
@@ -493,8 +348,10 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
+    let names: Vec<&str> = EXHIBITS.iter().map(|e| e.name).collect();
     eprintln!(
-        "usage: experiments [table1|table2|fig2a|fig2b|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|groups|tpch|ablations|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--prof-out FILE] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]"
+        "usage: experiments [{}|ablations|trace-report|all] [--ms N] [--seed S] [--threads N] [--quick] [--csv DIR] [--prof-out FILE] [--events-out FILE] [--metrics-out FILE] [--obs-summary] [--trace-out FILE] [--attrib-out FILE] [--attrib-summary] [--serve ADDR] [--check]",
+        names.join("|")
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -3,16 +3,17 @@
 //!
 //! Every table and figure of the paper's evaluation section has a
 //! corresponding renderer here; the underlying data comes from
-//! [`dmamem::experiments`]. The [`sweep`] module orchestrates whole
-//! figure matrices on the parallel sweep engine, [`perf_report`] renders
-//! their engine counters as the `BENCH_engine.json` baseline, and
-//! [`baseline_diff`] gates deterministic artifacts against their
-//! committed baselines.
+//! [`dmamem::experiments`]. The [`exhibits`] table lists every exhibit
+//! `experiments all` prints, the [`sweep`] module runs them on the
+//! parallel sweep engine, [`perf_report`] renders their engine counters
+//! as the `BENCH_engine.json` baseline, and [`baseline_diff`] gates
+//! deterministic artifacts against their committed baselines.
 
 use dmamem::experiments::{self, Fig10Row, Fig5Row, Fig7Row, Fig8Row, Fig9Row, Workload};
 use mempower::{EnergyBreakdown, EnergyCategory};
 
 pub mod baseline_diff;
+pub mod exhibits;
 pub mod perf_report;
 pub mod sweep;
 
@@ -229,12 +230,14 @@ pub const ALL_WORKLOADS: [Workload; 4] = Workload::ALL;
 mod tests {
     use super::*;
     use dmamem::experiments::ExpConfig;
+    use dmamem::sweep::SweepCtx;
 
     #[test]
     fn tables_render_without_panicking() {
         let exp = ExpConfig::quick();
-        assert!(table2_rows_text(&experiments::table2(exp)).contains("OLTP-St"));
-        let rows = experiments::fig5(exp, &[Workload::SyntheticSt], &[0.10]);
+        let ctx = SweepCtx::serial();
+        assert!(table2_rows_text(&experiments::table2_ctx(&ctx, exp)).contains("OLTP-St"));
+        let rows = experiments::fig5_ctx(&ctx, exp, &[Workload::SyntheticSt], &[0.10]);
         let t = fig5_table(&rows);
         assert!(t.contains("DMA-TA-PL(2)"));
         let pts = experiments::fig4(exp, 5);
@@ -243,7 +246,8 @@ mod tests {
 
     #[test]
     fn obs_summary_renders_verdicts_and_csv() {
-        let run = experiments::observed_run(ExpConfig::quick(), 0.10, 1 << 18);
+        let run =
+            experiments::observed_run_ctx(&SweepCtx::serial(), ExpConfig::quick(), 0.10, 1 << 18);
         let t = obs_summary_table(&run);
         assert!(t.contains("guarantee recorded"), "summary:\n{t}");
         assert!(t.contains("DMA-TA"), "summary:\n{t}");
@@ -256,7 +260,7 @@ mod tests {
 
     #[test]
     fn breakdown_line_lists_dominant_categories() {
-        let rows = experiments::fig2b(ExpConfig::quick());
+        let rows = experiments::fig2b_ctx(&SweepCtx::serial(), ExpConfig::quick());
         let line = breakdown_line(&rows[0].1);
         assert!(line.contains("Active Idle DMA"));
         assert!(line.contains("mJ total"));
@@ -389,11 +393,13 @@ pub mod csv {
     mod tests {
         use super::*;
         use dmamem::experiments::{self, ExpConfig, Workload};
+        use dmamem::sweep::SweepCtx;
 
         #[test]
         fn csv_headers_and_rows() {
             let exp = ExpConfig::quick();
-            let rows = experiments::fig5(exp, &[Workload::SyntheticSt], &[0.10]);
+            let ctx = SweepCtx::serial();
+            let rows = experiments::fig5_ctx(&ctx, exp, &[Workload::SyntheticSt], &[0.10]);
             let text = fig5(&rows);
             assert!(text.starts_with("workload,cp_limit"));
             assert_eq!(text.lines().count(), rows.len() + 1);
@@ -403,7 +409,7 @@ pub mod csv {
 
         #[test]
         fn breakdown_csv_has_all_categories() {
-            let rows = experiments::fig2b(ExpConfig::quick());
+            let rows = experiments::fig2b_ctx(&SweepCtx::serial(), ExpConfig::quick());
             let text = breakdown("baseline", &rows[0].1);
             assert_eq!(text.lines().count(), 6);
             assert!(text.contains("Active_Idle_DMA"));

@@ -26,7 +26,8 @@ pub struct EngineReport {
     /// Workload seed.
     pub seed: u64,
     /// Per-figure rows, in run order (`max_heap_depth` is the per-figure
-    /// window max; the rows' `ms` is not rendered).
+    /// window max; the rows' `ms` is not rendered). Only figures that
+    /// touched the sweep context have a row.
     pub rows: Vec<FigTime>,
     /// Lifetime totals across the whole matrix, including per-phase call
     /// counts.
@@ -35,12 +36,19 @@ pub struct EngineReport {
 
 impl EngineReport {
     /// Builds the report from a runner that has executed its figures.
+    /// A figure whose counters are all zero never touched the sweep
+    /// context (Table 1 and Figures 2(a), 3 and 4 simulate or generate on
+    /// their own), so it gets no row.
     pub fn from_runner(runner: &SweepRunner, trace_ms: f64, seed: u64) -> EngineReport {
+        let touched = |t: &&FigTime| {
+            t.memo_hits + t.memo_misses + t.trace_hits + t.trace_misses > 0
+                || t.prof != ProfTotals::default()
+        };
         EngineReport {
             queue_kind: dmamem::ENGINE_QUEUE_KIND.to_string(),
             trace_ms,
             seed,
-            rows: runner.timings().to_vec(),
+            rows: runner.timings().iter().filter(touched).cloned().collect(),
             totals: runner.ctx().prof_totals(),
         }
     }

@@ -1,10 +1,12 @@
 //! Figure-level orchestration of the parallel sweep engine.
 //!
-//! [`SweepRunner`] wraps a [`dmamem::sweep::SweepCtx`] and exposes one
-//! method per simulation-heavy exhibit, timing each figure's wall clock.
-//! Because every figure runs through the same context, traces and
-//! baselines memoize *across* figures — the OLTP-St baseline that Figure 5
-//! simulates is the one Figures 6 and 7 read back for free.
+//! [`SweepRunner`] wraps a [`dmamem::sweep::SweepCtx`] and runs each
+//! exhibit on it through [`SweepRunner::timed`], which accounts the
+//! exhibit's wall clock and engine counters under its name (the
+//! [`crate::exhibits`] table walks every exhibit this way). Because every
+//! figure runs through the same context, traces and baselines memoize
+//! *across* figures — the OLTP-St baseline that Figure 5 simulates is the
+//! one Figures 6 and 7 read back for free.
 //!
 //! [`SweepRunner::timed`] is where the simulator's host time per figure is
 //! measured, from outside the engine; the `benchmark/` harness reports it
@@ -13,13 +15,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dma_trace::TraceStats;
-use dmamem::experiments::{
-    self, ExpConfig, Fig10Row, Fig5Row, Fig7Row, Fig8Row, Fig9Row, GroupAblationRow, ObservedRun,
-    TpchRow, Workload,
-};
 use dmamem::sweep::{MemoStats, ProfTotals, SweepCtx};
-use mempower::EnergyBreakdown;
 use simcore::obs::LiveState;
 
 /// Wall-clock time and engine accounting of one figure run.
@@ -46,7 +42,6 @@ pub struct FigTime {
 pub struct SweepRunner {
     ctx: SweepCtx,
     timings: Vec<FigTime>,
-    live: Option<Arc<LiveState>>,
 }
 
 impl SweepRunner {
@@ -55,7 +50,6 @@ impl SweepRunner {
         SweepRunner {
             ctx: SweepCtx::new(threads),
             timings: Vec::new(),
-            live: None,
         }
     }
 
@@ -64,13 +58,13 @@ impl SweepRunner {
     /// publishes its name and a heartbeat, sweep waves and job counts
     /// stream in as they run, and the instrumented observability run
     /// mirrors its metrics snapshot and event tail into the live
-    /// `/metrics` and `/events` endpoints. Figure outputs stay
+    /// `/metrics` and `/events` endpoints
+    /// ([`dmamem::experiments::observed_run_ctx`]). Figure outputs stay
     /// byte-identical with or without it.
     ///
     /// [`timed`]: SweepRunner::timed
     pub fn with_live(mut self, live: Arc<LiveState>) -> Self {
-        self.ctx = self.ctx.with_live(Arc::clone(&live));
-        self.live = Some(live);
+        self.ctx = self.ctx.with_live(live);
         self
     }
 
@@ -97,7 +91,7 @@ impl SweepRunner {
     /// Times `run` against the runner's context and records it under
     /// `figure`.
     pub fn timed<T>(&mut self, figure: &str, run: impl FnOnce(&SweepCtx) -> T) -> T {
-        if let Some(live) = &self.live {
+        if let Some(live) = self.ctx.live() {
             live.set_figure(figure);
             live.heartbeat();
         }
@@ -107,7 +101,7 @@ impl SweepRunner {
         let start = Instant::now();
         let out = run(&self.ctx);
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        if let Some(live) = &self.live {
+        if let Some(live) = self.ctx.live() {
             live.heartbeat();
         }
         let memo = self.ctx.memo_stats();
@@ -124,111 +118,26 @@ impl SweepRunner {
         });
         out
     }
-
-    /// Table 2 through the shared trace cache.
-    pub fn table2(&mut self, exp: ExpConfig) -> Vec<(String, TraceStats)> {
-        self.timed("table2", |ctx| experiments::table2_ctx(ctx, exp))
-    }
-
-    /// Figure 2(b) on the shared context.
-    pub fn fig2b(&mut self, exp: ExpConfig) -> Vec<(String, EnergyBreakdown)> {
-        self.timed("fig2b", |ctx| experiments::fig2b_ctx(ctx, exp))
-    }
-
-    /// Figure 5 on the shared context.
-    pub fn fig5(
-        &mut self,
-        exp: ExpConfig,
-        workloads: &[Workload],
-        cp_limits: &[f64],
-    ) -> Vec<Fig5Row> {
-        self.timed("fig5", |ctx| {
-            experiments::fig5_ctx(ctx, exp, workloads, cp_limits)
-        })
-    }
-
-    /// Figure 6 on the shared context.
-    pub fn fig6(&mut self, exp: ExpConfig, cp_limit: f64) -> Vec<(String, EnergyBreakdown)> {
-        self.timed("fig6", |ctx| experiments::fig6_ctx(ctx, exp, cp_limit))
-    }
-
-    /// Figure 7 on the shared context.
-    pub fn fig7(&mut self, exp: ExpConfig, cp_limits: &[f64]) -> Vec<Fig7Row> {
-        self.timed("fig7", |ctx| experiments::fig7_ctx(ctx, exp, cp_limits))
-    }
-
-    /// Figure 8 on the shared context.
-    pub fn fig8(&mut self, exp: ExpConfig, rates: &[f64], cp_limit: f64) -> Vec<Fig8Row> {
-        self.timed("fig8", |ctx| {
-            experiments::fig8_ctx(ctx, exp, rates, cp_limit)
-        })
-    }
-
-    /// Figure 9 on the shared context.
-    pub fn fig9(&mut self, exp: ExpConfig, counts: &[f64], cp_limit: f64) -> Vec<Fig9Row> {
-        self.timed("fig9", |ctx| {
-            experiments::fig9_ctx(ctx, exp, counts, cp_limit)
-        })
-    }
-
-    /// Figure 10 on the shared context.
-    pub fn fig10(&mut self, exp: ExpConfig, bus_rates: &[f64], cp_limit: f64) -> Vec<Fig10Row> {
-        self.timed("fig10", |ctx| {
-            experiments::fig10_ctx(ctx, exp, bus_rates, cp_limit)
-        })
-    }
-
-    /// The PL group-count ablation on the shared context.
-    pub fn group_ablation(&mut self, exp: ExpConfig, cp_limit: f64) -> Vec<GroupAblationRow> {
-        self.timed("groups", |ctx| {
-            experiments::group_ablation_ctx(ctx, exp, cp_limit)
-        })
-    }
-
-    /// The TPC-H extension on the shared context.
-    pub fn tpch(&mut self, exp: ExpConfig, cp_limit: f64) -> Vec<TpchRow> {
-        self.timed("tpch", |ctx| experiments::tpch_ctx(ctx, exp, cp_limit))
-    }
-
-    /// The instrumented observability run, with its baseline memoized.
-    ///
-    /// With live telemetry attached, the run's metrics snapshot merges
-    /// into the live `/metrics` exposition and the tail of its event
-    /// stream lands in the `/events` ring.
-    pub fn observed_run(
-        &mut self,
-        exp: ExpConfig,
-        cp_limit: f64,
-        event_capacity: usize,
-    ) -> ObservedRun {
-        let run = self.timed("observed", |ctx| {
-            experiments::observed_run_ctx(ctx, exp, cp_limit, event_capacity)
-        });
-        if let (Some(live), Some(obs)) = (&self.live, run.result.obs.as_ref()) {
-            live.merge_metrics(&obs.metrics);
-            for (_, line) in obs.events.lines_since(0) {
-                live.push_event_line(line);
-            }
-        }
-        run
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmamem::experiments::{self, ExpConfig, Workload};
 
     #[test]
     fn runner_memoizes_across_figures() {
         let exp = ExpConfig::quick();
         let mut runner = SweepRunner::new(2);
-        let rows = runner.fig5(exp, &[Workload::OltpSt], &[0.10]);
+        let rows = runner.timed("fig5", |ctx| {
+            experiments::fig5_ctx(ctx, exp, &[Workload::OltpSt], &[0.10])
+        });
         assert_eq!(rows.len(), 4);
         let after_fig5 = runner.memo_stats();
         // Figures 6 and 7 at the same CP-Limit re-read fig5's OLTP-St
         // baseline and scheme runs from the memo.
-        runner.fig6(exp, 0.10);
-        runner.fig7(exp, &[0.10]);
+        runner.timed("fig6", |ctx| experiments::fig6_ctx(ctx, exp, 0.10));
+        runner.timed("fig7", |ctx| experiments::fig7_ctx(ctx, exp, &[0.10]));
         let after = runner.memo_stats();
         assert_eq!(
             after.misses, after_fig5.misses,

@@ -1,45 +1,40 @@
-//! Byte-identity of the *rendered* figure tables across thread counts —
-//! the exact artifact the `experiments` binary prints — and the shape of
-//! the engine report built from the figure matrix.
+//! The exhibit table reproduces the committed quick artifacts byte for
+//! byte — the stdout of `experiments all --quick` and the
+//! `BENCH_engine.json` engine report — and the rendered figure tables are
+//! byte-identical across thread counts.
 
 use bench::baseline_diff;
+use bench::exhibits::{self, EXHIBITS};
 use bench::perf_report::EngineReport;
 use bench::sweep::{FigTime, SweepRunner};
-use bench::{
-    fig5_table, fig7_table, fig8_table, table2_rows_text, ALL_WORKLOADS, BUS_RATE_SWEEP, CP_SWEEP,
-    INTENSITY_SWEEP, PROC_SWEEP,
-};
+use bench::{fig5_table, fig7_table, fig8_table, table2_rows_text};
 use dmamem::experiments::{self, ExpConfig, Workload};
-
-/// Runs the full simulation-heavy figure matrix on `runner` with the
-/// paper's standard sweeps.
-fn run_figure_matrix(runner: &mut SweepRunner, exp: ExpConfig) {
-    runner.table2(exp);
-    runner.fig2b(exp);
-    runner.fig5(exp, &ALL_WORKLOADS, &CP_SWEEP);
-    runner.fig6(exp, 0.10);
-    runner.fig7(exp, &CP_SWEEP);
-    runner.fig8(exp, &INTENSITY_SWEEP, 0.10);
-    runner.fig9(exp, &PROC_SWEEP, 0.10);
-    runner.fig10(exp, &BUS_RATE_SWEEP, 0.10);
-    runner.group_ablation(exp, 0.10);
-    runner.tpch(exp, 0.10);
-}
+use dmamem::sweep::SweepCtx;
 
 #[test]
 fn rendered_tables_byte_identical_across_thread_counts() {
     let exp = ExpConfig::quick();
     let render = |threads: usize| {
-        let mut runner = SweepRunner::new(threads);
+        let ctx = SweepCtx::new(threads);
         let mut out = String::new();
-        out.push_str(&table2_rows_text(&runner.table2(exp)));
-        out.push_str(&fig5_table(&runner.fig5(
+        out.push_str(&table2_rows_text(&experiments::table2_ctx(&ctx, exp)));
+        out.push_str(&fig5_table(&experiments::fig5_ctx(
+            &ctx,
             exp,
             &[Workload::OltpSt, Workload::SyntheticSt],
             &[0.05, 0.10],
         )));
-        out.push_str(&fig7_table(&runner.fig7(exp, &[0.05, 0.10])));
-        out.push_str(&fig8_table(&runner.fig8(exp, &[50.0, 100.0], 0.10)));
+        out.push_str(&fig7_table(&experiments::fig7_ctx(
+            &ctx,
+            exp,
+            &[0.05, 0.10],
+        )));
+        out.push_str(&fig8_table(&experiments::fig8_ctx(
+            &ctx,
+            exp,
+            &[50.0, 100.0],
+            0.10,
+        )));
         out
     };
     let serial = render(1);
@@ -66,15 +61,22 @@ fn timelines_match_committed_exhibits() {
     }
 }
 
+/// One walk of the table at the quick configuration on one worker, as
+/// `experiments all --quick --threads 1 --prof-out FILE` runs it.
 #[test]
-fn figure_matrix_runs_and_records_timings() {
-    let mut runner = SweepRunner::new(0);
-    run_figure_matrix(&mut runner, ExpConfig::quick());
-    let names: Vec<&str> = runner.timings().iter().map(|t| t.figure.as_str()).collect();
-    assert_eq!(
-        names,
-        ["table2", "fig2b", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "groups", "tpch"]
-    );
+fn one_walk_of_the_table_reproduces_the_quick_exhibits_and_engine_report() {
+    let exp = ExpConfig::quick();
+    let mut runner = SweepRunner::new(1);
+    let mut stdout = String::new();
+    for ex in &EXHIBITS {
+        stdout.push_str(&ex.section(&mut runner, exp, None));
+    }
+    stdout.push_str(&exhibits::footer(&runner));
+    assert_eq!(stdout, include_str!("../baselines/exhibits_quick.txt"));
+
+    let timed: Vec<&str> = runner.timings().iter().map(|t| t.figure.as_str()).collect();
+    let table: Vec<&str> = EXHIBITS.iter().map(|e| e.name).collect();
+    assert_eq!(timed, table);
     let stats = runner.memo_stats();
     // The matrix is heavily redundant: the memo must absorb a meaningful
     // share of the jobs (fig2b/fig6/fig7 baselines all repeat fig5's).
@@ -83,17 +85,15 @@ fn figure_matrix_runs_and_records_timings() {
         "expected cross-figure memo hits, got {stats:?}"
     );
     assert!(stats.trace_hits >= 3, "traces were regenerated: {stats:?}");
-}
 
-#[test]
-fn engine_report_rows_follow_matrix_order() {
-    let mut runner = SweepRunner::new(2);
-    run_figure_matrix(&mut runner, ExpConfig::quick());
     let report = EngineReport::from_runner(&runner, 2.0, 42);
+    let json = report.to_json();
+    assert_eq!(json, include_str!("../../../BENCH_engine.json"));
+    // Exhibits that never touch the sweep context have no row.
     let names: Vec<&str> = report.rows.iter().map(|r| r.figure.as_str()).collect();
     assert_eq!(
         names,
-        ["table2", "fig2b", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "groups", "tpch"]
+        ["table2", "fig2b", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "tpch", "groups"]
     );
     // Every figure that simulated anything dispatched events; figures
     // fully served from the memo report zero events.
@@ -114,7 +114,6 @@ fn engine_report_rows_follow_matrix_order() {
     assert_eq!(sum(|r| r.prof.requests), totals.requests);
     // The JSON baseline renders one row per figure, and the gate reads
     // it back and matches it against itself.
-    let json = report.to_json();
     assert_eq!(json.matches("\"figure\":").count(), report.rows.len());
     let doc = baseline_diff::parse("report", &json).expect("gate parses the report");
     let gate = baseline_diff::diff(&doc, &doc).expect("comparable");

@@ -4,29 +4,33 @@
 //! paper (Section 5) and returns it as plain rows, so the `bench` crate can
 //! print tables.
 //!
-//! Every simulation-heavy runner comes in two forms: `figN(exp, ...)`, the
-//! original serial entry point, and `figN_ctx(&SweepCtx, exp, ...)`, which
-//! runs its simulations through the [`crate::sweep`] engine — traces are
-//! generated once and shared, baselines repeated across figures are
-//! memoized, and independent runs execute in parallel. The serial form
-//! delegates to a fresh single-threaded context, so both produce
-//! bit-identical rows. The design ablations ([`ablations_ctx`]) come in
-//! the context form only.
+//! Every simulation-heavy runner takes a [`SweepCtx`] (`figN_ctx(&ctx,
+//! exp, ...)`) and runs its simulations through the [`crate::sweep`]
+//! engine: traces are generated once and shared, baselines repeated
+//! across figures are memoized, and independent runs execute in
+//! parallel. Rows are bit-identical at any worker count; a one-off caller
+//! passes [`SweepCtx::serial`]. Figures 2(a) and 3 simulate a handful of
+//! transfers on systems of their own and need no context.
 //!
 //! | exhibit | runner |
 //! |---|---|
 //! | Table 1 (power model)            | [`table1_text`] |
-//! | Table 2 (trace characteristics)  | [`table2`] |
-//! | Figure 2(a) (cycle waste)        | [`fig2a`] |
-//! | Figure 2(b) (energy breakdown)   | [`fig2b`] |
-//! | Figure 3 (lockstep alignment)    | [`fig3`] |
+//! | Table 2 (trace characteristics)  | [`table2_ctx`] |
+//! | Figure 2(a) (cycle waste)        | [`fig2a_run`] |
+//! | Figure 2(b) (energy breakdown)   | [`fig2b_ctx`] |
+//! | Figure 3 (lockstep alignment)    | [`fig3_run`] |
 //! | Figure 4 (popularity CDF)        | [`fig4`] |
-//! | Figure 5 (savings vs CP-Limit)   | [`fig5`] |
-//! | Figure 6 (scheme breakdowns)     | [`fig6`] |
-//! | Figure 7 (utilization factors)   | [`fig7`] |
-//! | Figure 8 (workload intensity)    | [`fig8`] |
-//! | Figure 9 (processor accesses)    | [`fig9`] |
-//! | Figure 10 (bandwidth ratio)      | [`fig10`] |
+//! | Figure 5 (savings vs CP-Limit)   | [`fig5_ctx`] |
+//! | Figure 6 (scheme breakdowns)     | [`fig6_ctx`] |
+//! | Figure 7 (utilization factors)   | [`fig7_ctx`] |
+//! | Figure 8 (workload intensity)    | [`fig8_ctx`] |
+//! | Figure 9 (processor accesses)    | [`fig9_ctx`] |
+//! | Figure 10 (bandwidth ratio)      | [`fig10_ctx`] |
+//!
+//! The `bench` crate's exhibit table calls these runners and renders
+//! their rows; the design ablations ([`ablations_ctx`]), the PL
+//! group-count ablation, the TPC-H extension and the instrumented runs
+//! live here too.
 
 use dma_trace::{
     OltpDbGen, OltpStGen, SyntheticDbGen, SyntheticStorageGen, TpchScanGen, Trace, TraceGen,
@@ -218,13 +222,9 @@ pub fn table1_text() -> String {
     out
 }
 
-/// Table 2: measured characteristics of the four generated traces.
-pub fn table2(exp: ExpConfig) -> Vec<(String, TraceStats)> {
-    table2_ctx(&SweepCtx::serial(), exp)
-}
-
-/// [`table2`] on a sweep context: the traces land in the context's cache,
-/// so the figure runs that follow reuse them instead of regenerating.
+/// Table 2: measured characteristics of the four generated traces. The
+/// traces land in the context's cache, so the figure runs that follow
+/// reuse them instead of regenerating.
 pub fn table2_ctx(ctx: &SweepCtx, exp: ExpConfig) -> Vec<(String, TraceStats)> {
     Workload::ALL
         .iter()
@@ -251,29 +251,37 @@ pub struct Fig2a {
 
 /// Reproduces the Figure 2(a) analysis: one 8-KB transfer over one PCI-X
 /// bus against one RDRAM chip wastes two-thirds of the active cycles.
-pub fn fig2a() -> Fig2a {
+/// One run with the event log on yields both the cycle counts and the
+/// ASCII timeline of the 4-serving + 8-idle pattern over the first 180 ns.
+pub fn fig2a_run() -> (Fig2a, String) {
     let (config, trace) = fig2a_setup();
     let cycle = SimDuration::from_cycles(1, 1.6e9);
     let serving = config
         .power_model
         .service_time(config.buses[0].request_bytes);
     let period = config.t_request();
-    let r = ServerSimulator::new(config, Scheme::baseline()).run(&trace);
-    Fig2a {
+    let window = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_ns(180));
+    let (r, timeline) = timeline_run(config, Scheme::baseline(), &trace, window);
+    let fig = Fig2a {
         serving_cycles: serving.ratio(cycle),
         idle_cycles: (period - serving).ratio(cycle),
         measured_uf: r.utilization_factor(),
-    }
+    };
+    (fig, timeline)
+}
+
+/// The numbers of [`fig2a_run`].
+pub fn fig2a() -> Fig2a {
+    fig2a_run().0
+}
+
+/// The timeline of [`fig2a_run`].
+pub fn fig2a_timeline() -> String {
+    fig2a_run().1
 }
 
 /// Figure 2(b): baseline energy breakdowns for the storage and database
-/// workloads.
-pub fn fig2b(exp: ExpConfig) -> Vec<(String, EnergyBreakdown)> {
-    fig2b_ctx(&SweepCtx::serial(), exp)
-}
-
-/// [`fig2b`] on a sweep context (the two baselines are the same runs
-/// Figures 5–7 memoize).
+/// workloads (the two baselines are the same runs Figures 5–7 memoize).
 pub fn fig2b_ctx(ctx: &SweepCtx, exp: ExpConfig) -> Vec<(String, EnergyBreakdown)> {
     let workloads = [Workload::OltpSt, Workload::OltpDb];
     let jobs = workloads
@@ -285,14 +293,6 @@ pub fn fig2b_ctx(ctx: &SweepCtx, exp: ExpConfig) -> Vec<(String, EnergyBreakdown
         .zip(ctx.run_batch(jobs))
         .map(|(w, r)| (w.label().to_string(), r.energy.clone()))
         .collect()
-}
-
-/// Figure 2(a) as an ASCII timeline: one transfer, one chip, the 4-serving
-/// + 8-idle cycle pattern rendered over the first 180 ns.
-pub fn fig2a_timeline() -> String {
-    let (config, trace) = fig2a_setup();
-    let window = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_ns(180));
-    timeline_of(config, Scheme::baseline(), &trace, window)
 }
 
 /// The Figure 2(a) system and its trace: one page-sized transfer at time
@@ -326,27 +326,33 @@ pub struct Fig3 {
 }
 
 /// Reproduces the Figure 3 scenario (four I/O buses, transfers gathered
-/// then run in lockstep).
-pub fn fig3() -> Fig3 {
+/// then run in lockstep). The DMA-TA run keeps its event log, which also
+/// draws the gathered transfers' lockstep service on the target chip as
+/// an ASCII timeline around the release instant.
+pub fn fig3_run() -> (Fig3, String) {
     let (config, trace) = fig3_setup();
     let baseline = ServerSimulator::new(config.clone(), Scheme::baseline()).run(&trace);
-    let ta = ServerSimulator::new(config, Scheme::dma_ta(3.0)).run(&trace);
-    Fig3 {
-        baseline_uf: baseline.utilization_factor(),
-        ta_uf: ta.utilization_factor(),
-        delayed_firsts: ta.delayed_firsts,
-    }
-}
-
-/// Figure 3 as an ASCII timeline: the gathered transfers' lockstep service
-/// on the target chip, rendered around the release instant.
-pub fn fig3_timeline() -> String {
-    let (config, trace) = fig3_setup();
     let window = (
         SimTime::ZERO + SimDuration::from_us(499),
         SimTime::ZERO + SimDuration::from_us(540),
     );
-    timeline_of(config, Scheme::dma_ta(3.0), &trace, window)
+    let (ta, timeline) = timeline_run(config, Scheme::dma_ta(3.0), &trace, window);
+    let fig = Fig3 {
+        baseline_uf: baseline.utilization_factor(),
+        ta_uf: ta.utilization_factor(),
+        delayed_firsts: ta.delayed_firsts,
+    };
+    (fig, timeline)
+}
+
+/// The numbers of [`fig3_run`].
+pub fn fig3() -> Fig3 {
+    fig3_run().0
+}
+
+/// The timeline of [`fig3_run`].
+pub fn fig3_timeline() -> String {
+    fig3_run().1
 }
 
 /// The Figure 3 system (four PCI-X buses) and its trace. Warm-up
@@ -377,25 +383,26 @@ fn fig3_setup() -> (SystemConfig, Trace) {
 // Timelines
 
 /// Event-log capacity for the timeline runs. Figure 3 logs ~33 k events;
-/// [`timeline_of`] refuses a truncated log rather than draw a partial
+/// [`timeline_run`] refuses a truncated log rather than draw a partial
 /// window.
 const TIMELINE_EVENTS: usize = 1 << 16;
 
-/// Runs `scheme` over `trace` with the event log on and draws its chip
-/// activity in `window`, 96 columns across.
-fn timeline_of(
+/// Runs `scheme` over `trace` with the event log on and returns the run
+/// with its chip activity in `window` drawn 96 columns across.
+fn timeline_run(
     config: SystemConfig,
     scheme: Scheme,
     trace: &Trace,
     window: (SimTime, SimTime),
-) -> String {
+) -> (SimResult, String) {
     let chips = config.chips;
     let r = ServerSimulator::new(config, scheme)
         .with_observability(TIMELINE_EVENTS)
         .run(trace);
-    let log = &r.obs.expect("observability requested").events;
+    let log = &r.obs.as_ref().expect("observability requested").events;
     assert_eq!(log.dropped(), 0, "timeline event log truncated");
-    render_timeline(log.iter(), window, SimTime::ZERO + r.horizon, chips, 96)
+    let art = render_timeline(log.iter(), window, SimTime::ZERO + r.horizon, chips, 96);
+    (r, art)
 }
 
 /// Draws the paper's up-down timeline pictures in ASCII from a run's
@@ -485,14 +492,9 @@ pub struct Fig5Row {
 }
 
 /// Figure 5: energy savings versus CP-Limit for DMA-TA and DMA-TA-PL with
-/// 2/3/6 groups, over the given workloads.
-pub fn fig5(exp: ExpConfig, workloads: &[Workload], cp_limits: &[f64]) -> Vec<Fig5Row> {
-    fig5_ctx(&SweepCtx::serial(), exp, workloads, cp_limits)
-}
-
-/// [`fig5`] on a sweep context: one memoized baseline per workload (wave
-/// one), then every `(workload, CP-Limit, scheme)` point in parallel
-/// (wave two).
+/// 2/3/6 groups, over the given workloads: one memoized baseline per
+/// workload (wave one), then every `(workload, CP-Limit, scheme)` point
+/// in parallel (wave two).
 pub fn fig5_ctx(
     ctx: &SweepCtx,
     exp: ExpConfig,
@@ -545,13 +547,8 @@ pub fn fig5_ctx(
 // Figure 6
 
 /// Figure 6: energy breakdowns of baseline, DMA-TA, and DMA-TA-PL(2) for
-/// OLTP-St at the given CP-Limit (the paper uses 10 %).
-pub fn fig6(exp: ExpConfig, cp_limit: f64) -> Vec<(String, EnergyBreakdown)> {
-    fig6_ctx(&SweepCtx::serial(), exp, cp_limit)
-}
-
-/// [`fig6`] on a sweep context (shares the OLTP-St baseline with Figures
-/// 5 and 7).
+/// OLTP-St at the given CP-Limit (the paper uses 10 %). Shares the
+/// OLTP-St baseline with Figures 5 and 7.
 pub fn fig6_ctx(ctx: &SweepCtx, exp: ExpConfig, cp_limit: f64) -> Vec<(String, EnergyBreakdown)> {
     let config = paper_system();
     let trace = Workload::OltpSt.shared_trace(ctx, exp);
@@ -585,13 +582,9 @@ pub struct Fig7Row {
     pub uf_tapl: f64,
 }
 
-/// Figure 7: utilization factors versus CP-Limit for OLTP-St.
-pub fn fig7(exp: ExpConfig, cp_limits: &[f64]) -> Vec<Fig7Row> {
-    fig7_ctx(&SweepCtx::serial(), exp, cp_limits)
-}
-
-/// [`fig7`] on a sweep context (shares the OLTP-St baseline and, at
-/// matching CP-Limits, the DMA-TA / DMA-TA-PL(2) runs with Figure 5).
+/// Figure 7: utilization factors versus CP-Limit for OLTP-St. Shares the
+/// OLTP-St baseline and, at matching CP-Limits, the DMA-TA /
+/// DMA-TA-PL(2) runs with Figure 5.
 pub fn fig7_ctx(ctx: &SweepCtx, exp: ExpConfig, cp_limits: &[f64]) -> Vec<Fig7Row> {
     let config = paper_system();
     let trace = Workload::OltpSt.shared_trace(ctx, exp);
@@ -639,13 +632,8 @@ pub struct Fig8Row {
 }
 
 /// Figure 8: energy savings versus workload intensity (Synthetic-St with
-/// varying arrival rate; CP-Limit fixed, paper uses 10 %).
-pub fn fig8(exp: ExpConfig, rates: &[f64], cp_limit: f64) -> Vec<Fig8Row> {
-    fig8_ctx(&SweepCtx::serial(), exp, rates, cp_limit)
-}
-
-/// [`fig8`] on a sweep context: per-rate baselines in wave one, the
-/// DMA-TA / DMA-TA-PL(2) pairs in wave two.
+/// varying arrival rate; CP-Limit fixed, paper uses 10 %): per-rate
+/// baselines in wave one, the DMA-TA / DMA-TA-PL(2) pairs in wave two.
 pub fn fig8_ctx(ctx: &SweepCtx, exp: ExpConfig, rates: &[f64], cp_limit: f64) -> Vec<Fig8Row> {
     let config = paper_system();
     let extra = Workload::SyntheticSt.client_extra_latency();
@@ -709,13 +697,9 @@ pub struct Fig9Row {
 }
 
 /// Figure 9: energy savings versus processor accesses per transfer
-/// (Synthetic-Db with injected processor bursts; CP-Limit fixed).
-pub fn fig9(exp: ExpConfig, counts: &[f64], cp_limit: f64) -> Vec<Fig9Row> {
-    fig9_ctx(&SweepCtx::serial(), exp, counts, cp_limit)
-}
-
-/// [`fig9`] on a sweep context: per-intensity baselines in wave one, the
-/// DMA-TA / DMA-TA-PL(2) pairs in wave two.
+/// (Synthetic-Db with injected processor bursts; CP-Limit fixed):
+/// per-intensity baselines in wave one, the DMA-TA / DMA-TA-PL(2) pairs
+/// in wave two.
 pub fn fig9_ctx(ctx: &SweepCtx, exp: ExpConfig, counts: &[f64], cp_limit: f64) -> Vec<Fig9Row> {
     let config = paper_system();
     let extra = Workload::SyntheticDb.client_extra_latency();
@@ -779,13 +763,9 @@ pub struct Fig10Row {
 
 /// Figure 10: energy savings versus the ratio between memory and I/O bus
 /// bandwidth. Memory stays at 3.2 GB/s while the bus rate sweeps
-/// (paper: 0.5, 1.064, 2, 3 GB/s), for OLTP-St and Synthetic-St.
-pub fn fig10(exp: ExpConfig, bus_rates: &[f64], cp_limit: f64) -> Vec<Fig10Row> {
-    fig10_ctx(&SweepCtx::serial(), exp, bus_rates, cp_limit)
-}
-
-/// [`fig10`] on a sweep context: one baseline per `(workload, bus rate)`
-/// in wave one, the scheme pairs in wave two.
+/// (paper: 0.5, 1.064, 2, 3 GB/s), for OLTP-St and Synthetic-St: one
+/// baseline per `(workload, bus rate)` in wave one, the scheme pairs in
+/// wave two.
 pub fn fig10_ctx(
     ctx: &SweepCtx,
     exp: ExpConfig,
@@ -861,11 +841,6 @@ pub struct GroupAblationRow {
 /// effect: more groups force strict ordering across more boundaries, and
 /// rank fluctuations across them pay increasing migration churn — K = 2
 /// migrates least.
-pub fn group_ablation(exp: ExpConfig, cp_limit: f64) -> Vec<GroupAblationRow> {
-    group_ablation_ctx(&SweepCtx::serial(), exp, cp_limit)
-}
-
-/// [`group_ablation`] on a sweep context.
 pub fn group_ablation_ctx(ctx: &SweepCtx, exp: ExpConfig, cp_limit: f64) -> Vec<GroupAblationRow> {
     let config = SystemConfig {
         chips: 32,
@@ -1113,11 +1088,6 @@ pub struct TpchRow {
 /// its migrations should stay near zero (the cost-benefit gate and the
 /// sparse per-interval counts see no stable hot set) while DMA-TA still
 /// aligns scans that collide on a chip.
-pub fn tpch(exp: ExpConfig, cp_limit: f64) -> Vec<TpchRow> {
-    tpch_ctx(&SweepCtx::serial(), exp, cp_limit)
-}
-
-/// [`tpch`] on a sweep context.
 pub fn tpch_ctx(ctx: &SweepCtx, exp: ExpConfig, cp_limit: f64) -> Vec<TpchRow> {
     let config = paper_system();
     let gen = TpchScanGen::default();
@@ -1169,14 +1139,13 @@ pub struct ObservedRun {
 /// Runs the paper's OLTP-St workload under DMA-TA-PL(2) with full
 /// observability. The scheme exercises every event family — power-mode
 /// transitions, TA gather/release decisions, the slack ledger, and PL page
-/// migrations — so its export is the canonical audit-trail sample.
-pub fn observed_run(exp: ExpConfig, cp_limit: f64, event_capacity: usize) -> ObservedRun {
-    observed_run_ctx(&SweepCtx::serial(), exp, cp_limit, event_capacity)
-}
-
-/// [`observed_run`] on a sweep context. The baseline and trace come from
-/// the shared caches; the instrumented run itself stays outside the memo
-/// (its observability state makes it unlike the plain figure runs).
+/// migrations — so its export is the canonical audit-trail sample. The
+/// baseline and trace come from the context's shared caches; the
+/// instrumented run itself stays outside the memo (its observability
+/// state makes it unlike the plain figure runs). With live telemetry on
+/// the context, the run's metrics snapshot merges into the live
+/// `/metrics` exposition and the tail of its event stream lands in the
+/// `/events` ring.
 pub fn observed_run_ctx(
     ctx: &SweepCtx,
     exp: ExpConfig,
@@ -1194,6 +1163,12 @@ pub fn observed_run_ctx(
         sim = sim.with_live(std::sync::Arc::clone(live));
     }
     let result = sim.run(trace.trace());
+    if let (Some(live), Some(obs)) = (ctx.live(), &result.obs) {
+        live.merge_metrics(&obs.metrics);
+        for (_, line) in obs.events.lines_since(0) {
+            live.push_event_line(line);
+        }
+    }
     ObservedRun {
         workload: Workload::OltpSt.label().to_string(),
         scheme: result.scheme.clone(),
@@ -1421,14 +1396,14 @@ mod tests {
 
     #[test]
     fn table2_covers_all_workloads() {
-        let rows = table2(ExpConfig::quick());
+        let rows = table2_ctx(&SweepCtx::serial(), ExpConfig::quick());
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|(_, s)| s.dma_transfers() > 0));
     }
 
     #[test]
     fn fig2b_idle_dma_dominates_threshold() {
-        let rows = fig2b(ExpConfig::quick());
+        let rows = fig2b_ctx(&SweepCtx::serial(), ExpConfig::quick());
         for (name, e) in rows {
             let idle = e.fraction(EnergyCategory::ActiveIdleDma);
             let threshold = e.fraction(EnergyCategory::ActiveIdleThreshold);
@@ -1441,7 +1416,12 @@ mod tests {
 
     #[test]
     fn fig5_smoke_produces_expected_rows() {
-        let rows = fig5(ExpConfig::quick(), &[Workload::SyntheticSt], &[0.10]);
+        let rows = fig5_ctx(
+            &SweepCtx::serial(),
+            ExpConfig::quick(),
+            &[Workload::SyntheticSt],
+            &[0.10],
+        );
         assert_eq!(rows.len(), 4);
         let ta = rows.iter().find(|r| r.scheme == "DMA-TA").unwrap();
         assert!(ta.savings > -0.05, "TA made things much worse: {ta:?}");
@@ -1449,7 +1429,8 @@ mod tests {
 
     #[test]
     fn group_ablation_reports_rows_with_churn_ordering() {
-        let rows = group_ablation(
+        let rows = group_ablation_ctx(
+            &SweepCtx::serial(),
             ExpConfig {
                 duration: SimDuration::from_ms(20),
                 seed: 42,
@@ -1526,7 +1507,7 @@ mod tests {
 
     #[test]
     fn tpch_runs_and_pl_migrates_little() {
-        let rows = tpch(ExpConfig::quick(), 0.10);
+        let rows = tpch_ctx(&SweepCtx::serial(), ExpConfig::quick(), 0.10);
         assert_eq!(rows.len(), 2);
         let tapl = rows.iter().find(|r| r.scheme.contains("PL")).unwrap();
         // Uniform scans give PL no stable hot set to concentrate.
@@ -1535,6 +1516,19 @@ mod tests {
             "PL churned {} moves",
             tapl.page_moves
         );
+    }
+
+    #[test]
+    fn observed_run_mirrors_into_the_contexts_live_state() {
+        let live = Arc::new(simcore::obs::LiveState::new());
+        let ctx = SweepCtx::serial().with_live(Arc::clone(&live));
+        let run = observed_run_ctx(&ctx, ExpConfig::quick(), 0.10, 1 << 10);
+        let obs = run.result.obs.as_ref().expect("instrumented run");
+        let (_, last) = obs.events.lines_since(0).last().expect("events");
+        assert!(live.events_since(0).body.ends_with(&(last + "\n")));
+        let wakes = |m: &simcore::obs::MetricsSnapshot| m.counter("dmamem.wakes");
+        assert!(wakes(&obs.metrics).is_some());
+        assert!(wakes(&live.metrics_snapshot()).is_some());
     }
 
     #[test]

@@ -290,8 +290,8 @@ impl SweepCtx {
         }
     }
 
-    /// A single-threaded context — the drop-in replacement for the old
-    /// serial figure loops.
+    /// A single-threaded context, for one-off calls of the figure
+    /// runners.
     pub fn serial() -> Self {
         SweepCtx::new(1)
     }

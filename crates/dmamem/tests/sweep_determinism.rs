@@ -69,32 +69,23 @@ proptest! {
     }
 }
 
-/// Every `_ctx` figure runner agrees with its serial entry point at
-/// thread counts 1, 2, and 8.
+/// Every `_ctx` figure runner gives the serial context's rows at thread
+/// counts 2 and 8.
 #[test]
 fn all_figures_bit_identical_across_thread_counts() {
     let exp = quick(42);
-    let fig7_serial = experiments::fig7(exp, &[0.05, 0.10]);
-    let fig8_serial = experiments::fig8(exp, &[50.0, 100.0], 0.10);
-    let fig9_serial = experiments::fig9(exp, &[0.0, 50.0], 0.10);
-    let fig10_serial = experiments::fig10(exp, &[1.064e9, 2.0e9], 0.10);
-    let tpch_serial = experiments::tpch(exp, 0.10);
-    for threads in [1usize, 2, 8] {
-        let ctx = SweepCtx::new(threads);
-        assert_eq!(fig7_serial, experiments::fig7_ctx(&ctx, exp, &[0.05, 0.10]));
-        assert_eq!(
-            fig8_serial,
-            experiments::fig8_ctx(&ctx, exp, &[50.0, 100.0], 0.10)
-        );
-        assert_eq!(
-            fig9_serial,
-            experiments::fig9_ctx(&ctx, exp, &[0.0, 50.0], 0.10)
-        );
-        assert_eq!(
-            fig10_serial,
-            experiments::fig10_ctx(&ctx, exp, &[1.064e9, 2.0e9], 0.10)
-        );
-        assert_eq!(tpch_serial, experiments::tpch_ctx(&ctx, exp, 0.10));
+    let run = |ctx: &SweepCtx| {
+        (
+            experiments::fig7_ctx(ctx, exp, &[0.05, 0.10]),
+            experiments::fig8_ctx(ctx, exp, &[50.0, 100.0], 0.10),
+            experiments::fig9_ctx(ctx, exp, &[0.0, 50.0], 0.10),
+            experiments::fig10_ctx(ctx, exp, &[1.064e9, 2.0e9], 0.10),
+            experiments::tpch_ctx(ctx, exp, 0.10),
+        )
+    };
+    let serial = run(&SweepCtx::serial());
+    for threads in [2usize, 8] {
+        assert_eq!(serial, run(&SweepCtx::new(threads)), "threads={threads}");
     }
 }
 
@@ -109,10 +100,11 @@ fn cross_figure_memoization_does_not_change_rows() {
     let fig7_shared = experiments::fig7_ctx(&shared, exp, &[0.10]);
     let before = shared.memo_stats();
     assert!(before.hits > 0, "cross-figure reuse never hit the memo");
+    let fresh = SweepCtx::serial;
     assert_eq!(
         fig5_first,
-        experiments::fig5(exp, &[Workload::OltpSt], &[0.10])
+        experiments::fig5_ctx(&fresh(), exp, &[Workload::OltpSt], &[0.10])
     );
-    assert_eq!(fig6_shared, experiments::fig6(exp, 0.10));
-    assert_eq!(fig7_shared, experiments::fig7(exp, &[0.10]));
+    assert_eq!(fig6_shared, experiments::fig6_ctx(&fresh(), exp, 0.10));
+    assert_eq!(fig7_shared, experiments::fig7_ctx(&fresh(), exp, &[0.10]));
 }

@@ -43,6 +43,7 @@ const FIGURE_FIELDS: &[&str] = &[
     "transfers",
     "requests",
     "batched_requests",
+    "deferred_events",
     "sims",
     "memo_hits",
     "memo_misses",
@@ -59,6 +60,7 @@ const TOTALS_FIELDS: &[&str] = &[
     "transfers",
     "requests",
     "batched_requests",
+    "deferred_events",
     "sims",
 ];
 
@@ -406,11 +408,12 @@ mod tests {
             "{{\"bench\": \"engine\", \"queue_kind\": \"{q}\", \"trace_ms\": 2, \
              \"seed\": {seed},\n\"figures\": [\n  {{\"figure\": \"fig5\", \"events\": {events}, \
              \"heap_pushes\": 1005, \"heap_pops\": 1000, \"max_heap_depth\": 17, \
-             \"transfers\": 9, \"requests\": 640, \"batched_requests\": 600, \"sims\": 2, \"memo_hits\": 3, \
+             \"transfers\": 9, \"requests\": 640, \"batched_requests\": 600, \"deferred_events\": 300, \
+             \"sims\": 2, \"memo_hits\": 3, \
              \"memo_misses\": 2, \"trace_hits\": 1, \"trace_misses\": 1}}\n],\n\
              \"totals\": {{\"events\": {events}, \"heap_pushes\": 1005, \"heap_pops\": 1000, \
              \"max_heap_depth\": 17, \"transfers\": 9, \"requests\": 640, \"batched_requests\": 600, \
-             \"sims\": 2}},\n\
+             \"deferred_events\": 300, \"sims\": 2}},\n\
              \"phases\": [\n  {{\"phase\": \"dispatch\", \"calls\": 1000}}\n]}}",
             q = dmamem::ENGINE_QUEUE_KIND
         )
@@ -434,10 +437,10 @@ mod tests {
         let r = engine("1000", 42);
         let d = gate(&r, &r).unwrap();
         assert!(d.failures().is_empty());
-        // 12 per-figure fields + 8 totals + 1 phase.
-        assert_eq!(d.entries.len(), 21);
+        // 13 per-figure fields + 9 totals + 1 phase.
+        assert_eq!(d.entries.len(), 23);
         assert!(d.entries.iter().all(|e| e.policy == Policy::Exact));
-        assert!(d.render().contains("21 of 21 fields within policy"));
+        assert!(d.render().contains("23 of 23 fields within policy"));
     }
 
     #[test]
@@ -517,6 +520,18 @@ mod tests {
             assert!(err.contains("re-record"), "{err}");
             assert!(err.contains(old_kind) && err.contains(dmamem::ENGINE_QUEUE_KIND));
         }
+    }
+
+    #[test]
+    fn a_report_recorded_before_deferred_events_is_refused() {
+        let current = engine("1000", 42);
+        let kind = format!("\"queue_kind\": \"{}\"", dmamem::ENGINE_QUEUE_KIND);
+        let old = current
+            .replace(", \"deferred_events\": 300", "")
+            .replace(&kind, "\"queue_kind\": \"calendar-wheel-v1+trains-v2\"");
+        assert_ne!(old, current);
+        let err = gate(&old, &current).unwrap_err();
+        assert!(err.contains("deferred_events"), "{err}");
     }
 
     #[test]

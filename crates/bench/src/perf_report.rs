@@ -3,7 +3,8 @@
 //! An [`EngineReport`] collects the per-figure [`FigTime`] accounting of
 //! a [`SweepRunner`] — deterministic engine counters (events dispatched,
 //! heap ops, max calendar depth, transfers/requests allocated, requests
-//! booked by train batches, memo and trace-cache hits, per-phase calls) — and renders it as the
+//! booked by train batches, events run off the queue, memo and
+//! trace-cache hits, per-phase calls) — and renders it as the
 //! `BENCH_engine.json` baseline that [`crate::baseline_diff`] compares
 //! exactly. The report carries counters only: host time is measured from
 //! outside the engine, by the `benchmark/` harness.
@@ -66,8 +67,9 @@ impl EngineReport {
             out.push_str(&format!(
                 "    {{\"figure\": \"{}\", \"events\": {}, \"heap_pushes\": {}, \
                  \"heap_pops\": {}, \"max_heap_depth\": {}, \"transfers\": {}, \
-                 \"requests\": {}, \"batched_requests\": {}, \"sims\": {}, \"memo_hits\": {}, \
-                 \"memo_misses\": {}, \"trace_hits\": {}, \"trace_misses\": {}}}{}\n",
+                 \"requests\": {}, \"batched_requests\": {}, \"deferred_events\": {}, \
+                 \"sims\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \"trace_hits\": {}, \
+                 \"trace_misses\": {}}}{}\n",
                 r.figure,
                 r.prof.events,
                 r.prof.heap_pushes,
@@ -76,6 +78,7 @@ impl EngineReport {
                 r.prof.transfers,
                 r.prof.requests,
                 r.prof.batched_requests,
+                r.prof.deferred_events,
                 r.prof.sims,
                 r.memo_hits,
                 r.memo_misses,
@@ -88,7 +91,7 @@ impl EngineReport {
         out.push_str(&format!(
             "  \"totals\": {{\"events\": {}, \"heap_pushes\": {}, \"heap_pops\": {}, \
              \"max_heap_depth\": {}, \"transfers\": {}, \"requests\": {}, \
-             \"batched_requests\": {}, \"sims\": {}}},\n",
+             \"batched_requests\": {}, \"deferred_events\": {}, \"sims\": {}}},\n",
             self.totals.events,
             self.totals.heap_pushes,
             self.totals.heap_pops,
@@ -96,6 +99,7 @@ impl EngineReport {
             self.totals.transfers,
             self.totals.requests,
             self.totals.batched_requests,
+            self.totals.deferred_events,
             self.totals.sims,
         ));
         out.push_str("  \"phases\": [\n");
@@ -127,6 +131,7 @@ mod tests {
             transfers: 9,
             requests: 640,
             batched_requests: 600,
+            deferred_events: 300,
             phase_calls: [1000, 0, 0, 2],
         };
         let report = EngineReport {

@@ -151,6 +151,9 @@ pub struct ProfTotals {
     pub requests: u64,
     /// Requests booked in bulk by periodic train batches across all runs.
     pub batched_requests: u64,
+    /// Events of chips with no DMA work run from the engine's side list
+    /// instead of the queue, across all runs.
+    pub deferred_events: u64,
     /// Per-phase call counts, indexed in [`Phase::ALL`] order.
     pub phase_calls: [u64; 4],
 }
@@ -171,6 +174,7 @@ impl ProfTotals {
             transfers: self.transfers - earlier.transfers,
             requests: self.requests - earlier.requests,
             batched_requests: self.batched_requests - earlier.batched_requests,
+            deferred_events: self.deferred_events - earlier.deferred_events,
             phase_calls: sub4(self.phase_calls, earlier.phase_calls),
         }
     }
@@ -190,6 +194,7 @@ struct ProfAccum {
     transfers: AtomicU64,
     requests: AtomicU64,
     batched_requests: AtomicU64,
+    deferred_events: AtomicU64,
     phase_calls: [AtomicU64; 4],
 }
 
@@ -207,6 +212,8 @@ impl ProfAccum {
         self.requests.fetch_add(p.requests, Ordering::Relaxed);
         self.batched_requests
             .fetch_add(p.batched_requests, Ordering::Relaxed);
+        self.deferred_events
+            .fetch_add(p.deferred_events, Ordering::Relaxed);
         for (calls, phase) in self.phase_calls.iter().zip(Phase::ALL) {
             calls.fetch_add(p.phases.get(phase).calls, Ordering::Relaxed);
         }
@@ -222,6 +229,7 @@ impl ProfAccum {
             transfers: self.transfers.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
+            deferred_events: self.deferred_events.load(Ordering::Relaxed),
             phase_calls: self
                 .phase_calls
                 .each_ref()

@@ -1,7 +1,11 @@
-//! Fast-path conservation: the engine's three queue-bypassing fast paths
+//! Fast-path conservation: the engine's four queue-bypassing fast paths
 //! are *observationally* no-ops.
 //!
 //! * The idle-gap fast-forward jumps empty DMA-TA epochs.
+//! * The events of chips with no DMA work (their service and transition
+//!   completions and policy timers), and the pending trace instant, wait
+//!   off the queue and run from there in the queue's `(time, seq)` order;
+//!   policy timers that can no longer act are counted instead of run.
 //! * The request-train window serves steady DMA request trains from a
 //!   local lane instead of round-tripping every bus tick, service
 //!   completion and superseded policy timer through the event queue, and
@@ -12,7 +16,7 @@
 //!   by adding one taped period's operands to their accumulators again,
 //!   past commuting events.
 //!
-//! [`ServerSimulator::with_classic_event_core`] disables all three, so every
+//! [`ServerSimulator::with_classic_event_core`] disables all four, so every
 //! pair below runs the same trace both ways and demands identical
 //! results: the five-bucket energy attribution (to the 1e-9 checksum
 //! the attribution suite enforces), per-chip energy and residency,
@@ -23,15 +27,18 @@
 //! events — and every case asserts that divergence is present, so the
 //! suite cannot pass vacuously with a fast path never firing. Cases built
 //! to hold a steady state also assert that a batch fired
-//! (`batched_requests > 0`); the classic core never batches.
+//! (`batched_requests > 0`), and cases with processor accesses that events
+//! ran off the queue (`deferred_events > 0`); the classic core does
+//! neither.
 
 use dma_trace::{
     DmaRecord, ProcRecord, SyntheticDbGen, SyntheticStorageGen, Trace, TraceEvent, TraceGen,
 };
 use dmamem::experiments::{mu_from_baseline, paper_system, Workload};
+use dmamem::obs::SimEvent;
 use dmamem::{PolicyKind, Scheme, ServerSimulator, SimResult, SystemConfig};
 use iobus::{BusConfig, DmaDirection, DmaSource};
-use mempower::EnergyCategory;
+use mempower::{EnergyCategory, PowerMode};
 use proptest::prelude::*;
 use simcore::prof::Phase;
 use simcore::{SimDuration, SimTime};
@@ -163,6 +170,19 @@ fn assert_batched(label: &str, fast: &SimResult, classic: &SimResult) {
     );
 }
 
+/// Events of chips with no DMA work ran off the queue; the classic core
+/// keeps every event on it.
+fn assert_deferred(label: &str, fast: &SimResult, classic: &SimResult) {
+    assert!(
+        fast.profile.deferred_events > 0,
+        "{label}: no event ran off the queue"
+    );
+    assert_eq!(
+        classic.profile.deferred_events, 0,
+        "{label}: classic deferred"
+    );
+}
+
 /// All but under 1 % of the requests were booked by batches.
 fn assert_nearly_all_batched(label: &str, fast: &SimResult) {
     let (batched, requests) = (fast.profile.batched_requests, fast.dma_requests);
@@ -227,6 +247,9 @@ fn conserve_fig5_schemes(label: &str, trace: &Trace, extra: SimDuration) {
         assert_conserved(label, fast, classic);
         assert_fewer_pushes(label, fast, classic);
         assert_batched(label, fast, classic);
+        if trace.iter().any(|e| matches!(e, TraceEvent::Proc(_))) {
+            assert_deferred(label, fast, classic);
+        }
     }
 }
 
@@ -552,11 +575,21 @@ fn dma_ta_train_across_epochs_conserves() {
     assert_nearly_all_batched("epochs", &fast);
 }
 
+/// Pages per chip of the random small systems.
+const PAGES_PER_CHIP: u64 = 64;
+
 /// A small random system and trace: 1–4 chips of 64 pages, 1–3 buses,
 /// transfers either aligned in bursts or staggered, and processor
 /// accesses to the same chips.
-fn random_case((chips, buses, aligned, seed): (usize, usize, bool, u64)) -> (SystemConfig, Trace) {
-    const PAGES_PER_CHIP: u64 = 64;
+fn random_case(case: (usize, usize, bool, u64)) -> (SystemConfig, Trace) {
+    let (config, events) = random_events(case);
+    (config, Trace::from_events(events))
+}
+
+/// The system and records of [`random_case`].
+fn random_events(
+    (chips, buses, aligned, seed): (usize, usize, bool, u64),
+) -> (SystemConfig, Vec<TraceEvent>) {
     let config = SystemConfig {
         chips,
         pages: chips * PAGES_PER_CHIP as usize,
@@ -586,7 +619,48 @@ fn random_case((chips, buses, aligned, seed): (usize, usize, bool, u64)) -> (Sys
         let page = rng.next_u64() % (chips as u64 * PAGES_PER_CHIP);
         events.push(proc_access(rng.next_u64() % 30_000, page));
     }
-    (config, Trace::from_events(events))
+    (config, events)
+}
+
+/// `events` plus processor accesses that land on the very picosecond at
+/// which their chip's own events fire. A probe run with the event log on
+/// yields every service start and end, policy step and transition end;
+/// an access joins a random third of those instants, each to the chip
+/// whose event it was, and always the first. The runs agree up to the
+/// first added access, so at least that one ties with an event of its
+/// chip; which of the two pops first depends on their sequence numbers,
+/// and the cases cover both orders.
+fn on_event_stamps(
+    config: &SystemConfig,
+    scheme: Scheme,
+    mut events: Vec<TraceEvent>,
+    seed: u64,
+) -> Trace {
+    let probe = ServerSimulator::new(config.clone(), scheme)
+        .with_observability(1 << 16)
+        .run(&Trace::from_events(events.clone()));
+    let mut stamps = Vec::new();
+    for e in probe.obs.expect("observability on").events.iter() {
+        match *e {
+            SimEvent::Activity { at, chip, .. } => stamps.push((at, chip)),
+            SimEvent::ModeTransition {
+                at, chip, latency, ..
+            } => stamps.extend([(at, chip), (at + latency, chip)]),
+            _ => {}
+        }
+    }
+    assert!(!stamps.is_empty(), "the probe run recorded no chip event");
+    let mut rng = simcore::rng::DetRng::new(seed);
+    for (i, (time, chip)) in stamps.into_iter().enumerate() {
+        if i == 0 || rng.next_u64().is_multiple_of(3) {
+            events.push(TraceEvent::Proc(ProcRecord {
+                time,
+                page: chip as u64 * PAGES_PER_CHIP + rng.next_u64() % PAGES_PER_CHIP,
+                bytes: 64,
+            }));
+        }
+    }
+    Trace::from_events(events)
 }
 
 proptest! {
@@ -610,5 +684,92 @@ proptest! {
         let (fast, classic) = run_pair_on(&config, scheme, &trace);
         assert_conserved(&format!("{case:?} {}", scheme.label()), &fast, &classic);
         prop_assert!(fast.profile.heap_pushes <= classic.profile.heap_pushes);
+    }
+
+    /// Processor accesses that tie with their chip's own service ends,
+    /// policy timers and transition ends, under the dynamic, static
+    /// (zero-delay timer) and self-tuning policies and every scheme: the
+    /// default engine agrees with the classic core on every observable.
+    #[test]
+    fn accesses_on_event_stamps_conserve(
+        case in (1usize..5, 1usize..4, any::<bool>(), any::<u64>()),
+        policy in 0u8..3,
+        which in 0u8..3,
+        mu in 0.0f64..3.0,
+    ) {
+        let (config, events) = random_events(case);
+        let config = SystemConfig {
+            policy: match policy {
+                0 => PolicyKind::Dynamic { scale: 1.0 },
+                1 => PolicyKind::Static(PowerMode::Standby),
+                _ => PolicyKind::SelfTuning,
+            },
+            ..config
+        };
+        let scheme = match which {
+            0 => Scheme::baseline(),
+            2 if config.chips >= 2 => Scheme::dma_ta_pl(mu, 2),
+            _ => Scheme::dma_ta(mu),
+        };
+        let trace = on_event_stamps(&config, scheme, events, case.3);
+        let (fast, classic) = run_pair_on(&config, scheme, &trace);
+        let label = format!("{case:?} {:?} {}", config.policy, scheme.label());
+        assert_conserved(&label, &fast, &classic);
+        assert_deferred(&label, &fast, &classic);
+    }
+}
+
+/// A processor-only trace: no chip ever has DMA work, so every power-state
+/// event of the run waits off the queue.
+#[test]
+fn processor_only_trace_conserves() {
+    let full = Workload::OltpDb.generate(SimDuration::from_ms(2), 42);
+    let trace = Trace::from_events(
+        full.iter()
+            .filter(|e| matches!(e, TraceEvent::Proc(_)))
+            .collect(),
+    );
+    for scheme in [
+        Scheme::baseline(),
+        Scheme::dma_ta(1.0),
+        Scheme::dma_ta_pl(1.0, 2),
+    ] {
+        let (fast, classic) = run_pair_on(&paper_system(), scheme, &trace);
+        let label = format!("processor only {}", scheme.label());
+        assert_conserved(&label, &fast, &classic);
+        assert_fewer_pushes(&label, &fast, &classic);
+        assert_deferred(&label, &fast, &classic);
+    }
+}
+
+/// An observed run keeps every event on the queue, as the classic core
+/// does: observers need the queued path's exact event stream.
+#[test]
+fn observed_runs_defer_nothing() {
+    let trace = Workload::OltpDb.generate(SimDuration::from_ms(1), 42);
+    let observed = ServerSimulator::new(paper_system(), Scheme::baseline())
+        .with_observability(1 << 10)
+        .run(&trace);
+    assert_eq!(observed.profile.deferred_events, 0);
+}
+
+/// 20-ms database traces, long enough for processor accesses to tie with
+/// their chips' own events: the baseline and DMA-TA-PL(2) at the 10 %
+/// CP-Limit agree with the classic core on every observable.
+#[test]
+fn twenty_ms_database_traces_conserve() {
+    let config = paper_system();
+    for w in [Workload::OltpDb, Workload::SyntheticDb] {
+        let trace = w.generate(SimDuration::from_ms(20), 42);
+        let (base, base_classic) = run_pair_on(&config, Scheme::baseline(), &trace);
+        let mu = mu_from_baseline(&config, &base, 0.10, w.client_extra_latency());
+        let (pl, pl_classic) = run_pair_on(&config, Scheme::dma_ta_pl(mu, 2), &trace);
+        for (label, fast, classic) in [
+            (format!("{} baseline", w.label()), &base, &base_classic),
+            (format!("{} DMA-TA-PL(2)", w.label()), &pl, &pl_classic),
+        ] {
+            assert_conserved(&label, fast, classic);
+            assert_deferred(&label, fast, classic);
+        }
     }
 }

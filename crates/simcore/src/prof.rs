@@ -132,6 +132,9 @@ pub struct EngineProfile {
     /// Requests an engine booked in bulk instead of dispatching their
     /// events one by one (a share of `requests`).
     pub batched_requests: u64,
+    /// Events of chips with no DMA work that an engine ran from a side
+    /// list instead of the queue (a share of `events`).
+    pub deferred_events: u64,
     /// Per-phase call counts.
     pub phases: PhaseProfile,
 }
@@ -147,6 +150,7 @@ impl EngineProfile {
         self.transfers += other.transfers;
         self.requests += other.requests;
         self.batched_requests += other.batched_requests;
+        self.deferred_events += other.deferred_events;
         self.phases.merge(&other.phases);
     }
 }
@@ -188,6 +192,7 @@ mod tests {
             transfers: 3,
             requests: 24,
             batched_requests: 10,
+            deferred_events: 4,
             phases: PhaseProfile::default(),
         };
         let b = EngineProfile {
@@ -201,5 +206,6 @@ mod tests {
         assert_eq!(total.max_heap_depth, 5);
         assert_eq!(total.requests, 48);
         assert_eq!(total.batched_requests, 20);
+        assert_eq!(total.deferred_events, 8);
     }
 }

@@ -124,8 +124,12 @@ impl MinPos {
 /// the low hundreds, so buckets hold a handful of entries at most and
 /// the arena fits in L1); events beyond the wheel's horizon wait in
 /// an **overflow heap** and are drained into the wheel as the window
-/// advances. Events scheduled in the past clamp into the current bucket,
-/// where the min-scan still yields them first.
+/// advances. An event scheduled before the window start moves the
+/// window back to its bucket, and the entries that the move pushes past
+/// the horizon go to the overflow heap, so each bucket only ever holds
+/// entries of its own 1.024 ns. Engines that serve from side lanes
+/// schedule that way all the time: the queue head is often a far-off
+/// event while the lanes run the near future.
 ///
 /// # Example
 ///
@@ -153,9 +157,10 @@ pub struct EventQueue<E> {
     /// Second bitmap level: bit `w` set iff `occupancy[w] != 0`, so the
     /// next-occupied-bucket scan is O(1) instead of a word walk.
     summary: u16,
-    /// Absolute bucket index (time >> QUANTUM_BITS) the window starts at;
-    /// a lower bound on every wheel-resident entry's bucket. The window
-    /// covers `[cur_abs, cur_abs + SLOTS)`, a bijection onto slots.
+    /// Absolute bucket index (time >> QUANTUM_BITS) the window starts at:
+    /// the wheel minimum's bucket while the wheel holds anything. The
+    /// window covers `[cur_abs, cur_abs + SLOTS)`, a bijection onto
+    /// slots, and every wheel-resident entry lies inside it.
     cur_abs: u64,
     wheel_len: usize,
     /// Cached wheel minimum; `None` iff `wheel_len == 0`.
@@ -251,14 +256,14 @@ impl<E> EventQueue<E> {
             // moved on (an engine serving from a side lane) does not push
             // near-future entries through the overflow heap.
             self.cur_abs = abs;
+        } else if abs < self.cur_abs {
+            self.rewind(abs);
         }
         if abs >= self.cur_abs + SLOTS as u64 {
             self.overflow.push(entry);
             return;
         }
-        // Past-time schedules clamp into the window's first bucket; the
-        // per-bucket min-scan still pops them first.
-        let slot = (abs.max(self.cur_abs) & SLOT_MASK) as usize;
+        let slot = (abs & SLOT_MASK) as usize;
         let key = entry.key();
         let node = self.arena.insert(Node {
             entry,
@@ -281,12 +286,65 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Moves the window back so that it starts at bucket `abs`, before
+    /// the current start.
+    ///
+    /// The buckets the rewind uncovers share their slots with the last
+    /// `cur_abs - abs` buckets of the old window, which now lie past the
+    /// horizon: their entries move to the overflow heap (every entry,
+    /// if the rewind spans a revolution or more). The wheel minimum sits
+    /// in the old start bucket, so it stays put unless everything moved.
+    fn rewind(&mut self, abs: u64) {
+        let back = self.cur_abs - abs;
+        self.cur_abs = abs;
+        let span = back.min(SLOTS as u64) as usize;
+        let start = (abs & SLOT_MASK) as usize;
+        // Walk the uncovered slots a bitmap word at a time.
+        let mut done = 0;
+        while done < span {
+            let slot = (start + done) & (SLOTS - 1);
+            let bit = slot & 63;
+            let len = (64 - bit).min(span - done);
+            let mask = (u64::MAX >> (64 - len)) << bit;
+            let mut hits = self.occupancy[slot >> 6] & mask;
+            while hits != 0 {
+                self.evict_slot((slot & !63) | hits.trailing_zeros() as usize);
+                hits &= hits - 1;
+            }
+            done += len;
+        }
+        if self.wheel_len == 0 {
+            self.wheel_min = None;
+        }
+    }
+
+    /// Moves every entry of bucket list `slot` to the overflow heap.
+    fn evict_slot(&mut self, slot: usize) {
+        let mut cur = std::mem::replace(&mut self.heads[slot], NIL_NODE);
+        while cur != NIL_NODE {
+            let node = self.arena.remove(cur);
+            cur = node.next;
+            self.overflow.push(node.entry);
+            self.wheel_len -= 1;
+        }
+        self.occupancy[slot >> 6] &= !(1u64 << (slot & 63));
+        if self.occupancy[slot >> 6] == 0 {
+            self.summary &= !(1u16 << (slot >> 6));
+        }
+    }
+
+    /// The absolute bucket that `slot` stands for in the current window.
+    #[inline]
+    fn slot_bucket(&self, slot: usize) -> u64 {
+        self.cur_abs + ((slot as u64).wrapping_sub(self.cur_abs) & SLOT_MASK)
+    }
+
     /// First nonempty slot at or after the window start, as
     /// (slot, circular distance). O(1): the start word's high bits, then
     /// the [`summary`](Self::summary) picks the next nonempty word
     /// directly. Every wheel entry lives within one revolution of the
-    /// window start (inserts clamp/overflow to guarantee it), so any set
-    /// bit found cyclically is in-window.
+    /// window start (inserts rewind or overflow to guarantee it), so any
+    /// set bit found cyclically is in-window.
     fn next_occupied(&self) -> Option<(usize, usize)> {
         if self.summary == 0 {
             return None;
@@ -366,9 +424,10 @@ impl<E> EventQueue<E> {
                 self.cur_abs = top.time.as_ps() >> QUANTUM_BITS;
             }
         }
-        let horizon = self.cur_abs + SLOTS as u64;
+        // An insert may rewind the window, so the horizon is read afresh
+        // for every entry: entries the rewind evicts lie past it.
         while let Some(top) = self.overflow.peek() {
-            if top.time.as_ps() >> QUANTUM_BITS >= horizon {
+            if top.time.as_ps() >> QUANTUM_BITS >= self.cur_abs + SLOTS as u64 {
                 break;
             }
             // simlint::allow(panic-path, "pop follows a successful peek on the same heap with exclusive access")
@@ -430,6 +489,11 @@ impl<E> EventQueue<E> {
             self.arena[prev].next = self.arena[m.node].next;
         }
         let node = self.arena.remove(m.node);
+        debug_assert_eq!(
+            node.entry.time.as_ps() >> QUANTUM_BITS,
+            self.slot_bucket(slot),
+            "wheel entry outside the bucket its slot stands for"
+        );
         if self.heads[slot] == NIL_NODE {
             self.occupancy[slot >> 6] &= !(1u64 << (slot & 63));
             if self.occupancy[slot >> 6] == 0 {
@@ -692,12 +756,56 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(at(50), "future");
         assert_eq!(q.pop().unwrap().0, at(50));
-        // The window now starts at bucket(50ns); scheduling at 1 ns is in
-        // the past and clamps into the current bucket.
+        // "later" takes the fast slot and "latest" anchors the wheel at
+        // bucket(70 ns); the schedule at 1 ns lies before it and rewinds
+        // the window.
         q.schedule(at(60), "later");
+        q.schedule(at(70), "latest");
         q.schedule(at(1), "past");
         assert_eq!(q.pop().unwrap(), (at(1), "past"));
         assert_eq!(q.pop().unwrap(), (at(60), "later"));
+        assert_eq!(q.pop().unwrap(), (at(70), "latest"));
+    }
+
+    /// Every occupied bucket list holds only entries of the bucket its
+    /// slot stands for (so every wheel entry lies inside the window).
+    fn assert_buckets_pure<E>(q: &EventQueue<E>) {
+        let mut resident = 0;
+        for slot in 0..SLOTS {
+            let occupied = q.occupancy[slot >> 6] >> (slot & 63) & 1 == 1;
+            assert_eq!(occupied, q.heads[slot] != NIL_NODE, "slot {slot}");
+            let mut cur = q.heads[slot];
+            while cur != NIL_NODE {
+                let node = &q.arena[cur];
+                let bucket = node.entry.time.as_ps() >> QUANTUM_BITS;
+                assert_eq!(bucket, q.slot_bucket(slot), "slot {slot}");
+                resident += 1;
+                cur = node.next;
+            }
+        }
+        assert_eq!(resident, q.wheel_len);
+    }
+
+    #[test]
+    fn schedules_before_the_head_rewind_without_mixing_buckets() {
+        let mut q = EventQueue::new();
+        // A head far ahead (as a side lane leaves it), then schedules
+        // walking back one bucket at a time, each just before the head.
+        let quantum = 1u64 << QUANTUM_BITS;
+        let top = 3_000 * quantum;
+        q.schedule(SimTime::from_ps(top), 0u64);
+        for i in 1..2_500u64 {
+            q.schedule(SimTime::from_ps(top - i * quantum + i % 7), i);
+            assert_buckets_pure(&q);
+        }
+        // Payload i was scheduled with seq i, so pops run in (t, i) order.
+        let mut last = None;
+        while let Some((t, i)) = q.pop() {
+            assert!(last < Some((t, i)), "pop order");
+            last = Some((t, i));
+            assert_buckets_pure(&q);
+        }
+        assert_eq!(q.stats().pops, 2_500);
     }
 
     #[test]

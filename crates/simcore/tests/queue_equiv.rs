@@ -1,8 +1,11 @@
 //! Heap/wheel equivalence: the calendar-wheel [`EventQueue`] and the
 //! reference [`HeapQueue`] are driven with identical random
 //! schedule/pop interleavings — including same-time bursts, past-time
-//! schedules, and far-future (overflow-horizon) times — and must
-//! produce identical pop sequences, peek keys, and lifetime stats.
+//! schedules, schedules just before the head that rewind the wheel's
+//! window, bursts near the horizon that such a rewind evicts, reserved
+//! sequence numbers handed back later, and far-future
+//! (overflow-horizon) times — and must produce identical pop sequences,
+//! peek keys, and lifetime stats.
 //!
 //! This is the load-bearing test for the queue swap: `(time, seq)` is a
 //! total order, so any correct priority structure pops the same
@@ -14,6 +17,12 @@ use proptest::prelude::*;
 use simcore::{EventQueue, SimDuration, SimTime, QUEUE_KIND};
 use support::{HeapQueue, HEAP_QUEUE_KIND};
 
+/// The wheel's bucket width (1.024 ns) and window (1024 buckets,
+/// ~1.05 us). The ops below aim at these edges; the oracle does not
+/// care.
+const QUANTUM_PS: u64 = 1 << 10;
+const REVOLUTION_PS: u64 = 1024 * QUANTUM_PS;
+
 /// One step of a driver script.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -23,6 +32,17 @@ enum Op {
     /// Schedule one event `back_ps` before the last popped time (a
     /// past-time schedule once anything has popped).
     SchedulePast { back_ps: u64 },
+    /// Schedule one event `back_ps` before the head, but not before the
+    /// last popped time: the wheel rewinds by less than a revolution.
+    ScheduleBeforeHead { back_ps: u64 },
+    /// Schedule `count` events spread over the last buckets inside the
+    /// horizon measured from the head, so the next rewind evicts them.
+    HorizonBurst { spread_ps: u64, count: u8 },
+    /// Reserve a sequence number now for an event at `now + offset_ps`,
+    /// handed back later (as the engine's side lanes do).
+    Reserve { offset_ps: u64 },
+    /// Hand back reservation `pick` (modulo the number outstanding).
+    HandBack { pick: u8 },
     /// Pop up to `count` events.
     Pop { count: u8 },
     /// Compare peeked keys without popping.
@@ -30,9 +50,9 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..4, 0u64..100_000_000, 1u8..6).prop_map(|(kind, raw, count)| match kind {
+    (0u8..8, 0u64..100_000_000, 1u8..6).prop_map(|(kind, raw, count)| match kind {
         // Offsets span sub-bucket (ps) to beyond the wheel horizon
-        // (the wheel's window is ~8.4 us; 100ms >> horizon).
+        // (the wheel's window is ~1.05 us; 100ms >> horizon).
         0 => Op::Schedule {
             offset_ps: raw,
             count,
@@ -40,79 +60,166 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Op::SchedulePast {
             back_ps: raw % 1_000_000,
         },
-        2 => Op::Pop { count },
+        2 => Op::ScheduleBeforeHead {
+            back_ps: 1 + raw % REVOLUTION_PS,
+        },
+        3 => Op::HorizonBurst {
+            spread_ps: raw % (64 * QUANTUM_PS),
+            count: count * 4,
+        },
+        4 => Op::Reserve {
+            // Mostly within a revolution, sometimes far out.
+            offset_ps: if raw % 4 == 0 {
+                raw
+            } else {
+                raw % REVOLUTION_PS
+            },
+        },
+        5 => Op::HandBack { pick: count },
+        6 => Op::Pop { count },
         _ => Op::Peek,
     })
 }
 
-/// Drives both queues with the same script; panics (via prop_assert in
-/// the caller) on the first divergence, returning the pop log length.
-fn drive(ops: &[Op]) -> Result<usize, TestCaseError> {
-    let mut wheel: EventQueue<u32> = EventQueue::new();
-    let mut heap: HeapQueue<u32> = HeapQueue::new();
-    let mut now = SimTime::ZERO;
-    let mut payload = 0u32;
-    let mut pops = 0usize;
-    for op in ops {
-        match *op {
+/// Both queues, driven in lockstep.
+struct Pair {
+    wheel: EventQueue<u32>,
+    heap: HeapQueue<u32>,
+    /// Latest popped time.
+    now: SimTime,
+    payload: u32,
+    /// Reserved `(time, seq)` keys not yet handed back.
+    reserved: Vec<(SimTime, u64)>,
+    pops: usize,
+}
+
+impl Pair {
+    fn new() -> Self {
+        Pair {
+            wheel: EventQueue::new(),
+            heap: HeapQueue::new(),
+            now: SimTime::ZERO,
+            payload: 0,
+            reserved: Vec::new(),
+            pops: 0,
+        }
+    }
+
+    fn schedule(&mut self, t: SimTime) {
+        self.wheel.schedule(t, self.payload);
+        self.heap.schedule(t, self.payload);
+        self.payload += 1;
+    }
+
+    fn hand_back(&mut self, i: usize) {
+        let (t, seq) = self.reserved.swap_remove(i);
+        self.wheel.schedule_at_seq(t, seq, self.payload);
+        self.heap.schedule_at_seq(t, seq, self.payload);
+        self.payload += 1;
+    }
+
+    /// Pops once from both; true if they were empty.
+    fn pop(&mut self) -> Result<bool, TestCaseError> {
+        let w = self.wheel.pop();
+        prop_assert_eq!(w, self.heap.pop(), "pop #{} diverged", self.pops);
+        match w {
+            Some((t, _)) => {
+                self.now = self.now.max(t);
+                self.pops += 1;
+                Ok(false)
+            }
+            None => Ok(true),
+        }
+    }
+
+    fn step(&mut self, op: Op) -> Result<(), TestCaseError> {
+        match op {
             Op::Schedule { offset_ps, count } => {
-                let t = now + SimDuration::from_ps(offset_ps);
+                let t = self.now + SimDuration::from_ps(offset_ps);
                 for _ in 0..count {
-                    wheel.schedule(t, payload);
-                    heap.schedule(t, payload);
-                    payload += 1;
+                    self.schedule(t);
                 }
             }
             Op::SchedulePast { back_ps } => {
-                let t = SimTime::ZERO + SimDuration::from_ps(now.as_ps().saturating_sub(back_ps));
-                wheel.schedule(t, payload);
-                heap.schedule(t, payload);
-                payload += 1;
+                self.schedule(SimTime::from_ps(self.now.as_ps().saturating_sub(back_ps)));
+            }
+            Op::ScheduleBeforeHead { back_ps } => {
+                if let Some(head) = self.heap.peek_time() {
+                    let t = head.as_ps().saturating_sub(back_ps).max(self.now.as_ps());
+                    self.schedule(SimTime::from_ps(t));
+                }
+            }
+            Op::HorizonBurst { spread_ps, count } => {
+                if let Some(head) = self.heap.peek_time() {
+                    let edge = (head.as_ps() / QUANTUM_PS) * QUANTUM_PS + REVOLUTION_PS - 1;
+                    for k in 0..u64::from(count) {
+                        let back = spread_ps * k / u64::from(count);
+                        self.schedule(SimTime::from_ps(edge - back));
+                    }
+                }
+            }
+            Op::Reserve { offset_ps } => {
+                let seq = self.wheel.alloc_seq();
+                prop_assert_eq!(seq, self.heap.alloc_seq());
+                let t = self.now + SimDuration::from_ps(offset_ps);
+                self.reserved.push((t, seq));
+            }
+            Op::HandBack { pick } => {
+                if !self.reserved.is_empty() {
+                    let i = usize::from(pick) % self.reserved.len();
+                    self.hand_back(i);
+                }
             }
             Op::Pop { count } => {
                 for _ in 0..count {
-                    let w = wheel.pop();
-                    let h = heap.pop();
-                    prop_assert_eq!(w, h, "pop #{} diverged", pops);
-                    match w {
-                        Some((t, _)) => {
-                            // Popped times must never go backwards past
-                            // the true minimum: the heap is the oracle,
-                            // equality above already guarantees this.
-                            now = now.max(t);
-                            pops += 1;
-                        }
-                        None => break,
+                    if self.pop()? {
+                        break;
                     }
                 }
             }
             Op::Peek => {
-                prop_assert_eq!(wheel.peek_key(), heap.peek_key());
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                prop_assert_eq!(self.wheel.peek_key(), self.heap.peek_key());
+                prop_assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
             }
         }
-        prop_assert_eq!(wheel.len(), heap.len());
-        prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+        prop_assert_eq!(self.wheel.len(), self.heap.len());
+        prop_assert_eq!(self.wheel.is_empty(), self.heap.is_empty());
+        Ok(())
     }
-    // Drain both to the end: full pop sequences must match.
-    loop {
-        let w = wheel.pop();
-        let h = heap.pop();
-        prop_assert_eq!(w, h, "drain pop #{} diverged", pops);
-        if w.is_none() {
-            break;
+
+    /// Hands back every outstanding reservation, then drains both
+    /// queues: full pop sequences must match.
+    fn finish(&mut self) -> Result<(), TestCaseError> {
+        while !self.reserved.is_empty() {
+            self.hand_back(self.reserved.len() - 1);
         }
-        pops += 1;
+        while !self.pop()? {}
+        prop_assert_eq!(
+            self.wheel.stats(),
+            self.heap.stats(),
+            "lifetime stats diverged"
+        );
+        prop_assert_eq!(self.wheel.window_max_depth(), self.heap.window_max_depth());
+        Ok(())
     }
-    prop_assert_eq!(wheel.stats(), heap.stats(), "lifetime stats diverged");
-    prop_assert_eq!(wheel.window_max_depth(), heap.window_max_depth());
-    Ok(pops)
+}
+
+/// Drives both queues with the same script; fails on the first
+/// divergence, returning the number of pops.
+fn drive(ops: &[Op]) -> Result<usize, TestCaseError> {
+    let mut pair = Pair::new();
+    for &op in ops {
+        pair.step(op)?;
+    }
+    pair.finish()?;
+    Ok(pair.pops)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Arbitrary interleavings of schedules (bursts, past times,
+    /// rewinds and the evictions they force, reserved hand-backs,
     /// overflow-horizon offsets), pops, and peeks behave identically.
     #[test]
     fn wheel_matches_heap_on_random_interleavings(ops in prop::collection::vec(op_strategy(), 1..120)) {
@@ -138,6 +245,27 @@ proptest! {
         prop_assert!(wheel.pop().is_none() && heap.pop().is_none());
     }
 
+    /// Schedules that walk back from a far head one step at a time, each
+    /// just before the new head, rewind the wheel on every insert; a
+    /// burst at the horizon rides along and is evicted bit by bit.
+    #[test]
+    fn repeated_rewinds_match_heap(
+        steps in prop::collection::vec((1u64..4 * QUANTUM_PS, any::<bool>()), 1..300),
+        burst in 0u8..40,
+    ) {
+        let mut pair = Pair::new();
+        let far = SimTime::from_ps(400 * REVOLUTION_PS);
+        pair.schedule(far);
+        pair.step(Op::HorizonBurst { spread_ps: 2 * REVOLUTION_PS / 3, count: burst })?;
+        for (back, pop) in steps {
+            pair.step(Op::ScheduleBeforeHead { back_ps: back })?;
+            if pop {
+                pair.step(Op::Pop { count: 1 })?;
+            }
+        }
+        pair.finish()?;
+    }
+
     /// Clearing mid-script keeps the two queues in lockstep (lifetime
     /// stats kept, depth window reset — on both).
     #[test]
@@ -145,49 +273,24 @@ proptest! {
         before in prop::collection::vec(op_strategy(), 1..40),
         after in prop::collection::vec(op_strategy(), 1..40),
     ) {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
-        let mut payload = 0u32;
-        let mut run = |ops: &[Op], wheel: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>| -> Result<(), TestCaseError> {
-            let mut now = SimTime::ZERO;
-            for op in ops {
-                match *op {
-                    Op::Schedule { offset_ps, count } => {
-                        let t = now + SimDuration::from_ps(offset_ps);
-                        for _ in 0..count {
-                            wheel.schedule(t, payload);
-                            heap.schedule(t, payload);
-                            payload += 1;
-                        }
-                    }
-                    Op::SchedulePast { .. } | Op::Peek => {
-                        prop_assert_eq!(wheel.peek_key(), heap.peek_key());
-                    }
-                    Op::Pop { count } => {
-                        for _ in 0..count {
-                            let w = wheel.pop();
-                            prop_assert_eq!(w, heap.pop());
-                            if let Some((t, _)) = w {
-                                now = now.max(t);
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-        run(&before, &mut wheel, &mut heap)?;
-        wheel.clear();
-        heap.clear();
-        prop_assert_eq!(wheel.len(), 0);
-        prop_assert_eq!(wheel.window_max_depth(), 0);
-        prop_assert_eq!(heap.window_max_depth(), 0);
-        prop_assert_eq!(wheel.stats(), heap.stats());
-        run(&after, &mut wheel, &mut heap)?;
-        prop_assert_eq!(wheel.stats(), heap.stats());
-        prop_assert_eq!(wheel.window_max_depth(), heap.window_max_depth());
+        let mut pair = Pair::new();
+        for op in before {
+            pair.step(op)?;
+        }
+        pair.wheel.clear();
+        pair.heap.clear();
+        // A cleared queue starts a new run: time restarts and the old
+        // run's reservations are dropped.
+        pair.now = SimTime::ZERO;
+        pair.reserved.clear();
+        prop_assert_eq!(pair.wheel.len(), 0);
+        prop_assert_eq!(pair.wheel.window_max_depth(), 0);
+        prop_assert_eq!(pair.heap.window_max_depth(), 0);
+        prop_assert_eq!(pair.wheel.stats(), pair.heap.stats());
+        for op in after {
+            pair.step(op)?;
+        }
+        pair.finish()?;
     }
 }
 

@@ -70,10 +70,24 @@ impl<E> HeapQueue<E> {
         HEAP_QUEUE_KIND
     }
 
-    /// Schedules `event` to fire at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
+    /// Allocates the next insertion sequence number without scheduling
+    /// anything.
+    pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` to fire at `time`.
+    pub fn schedule(&mut self, time: SimTime, event: E) {
+        let seq = self.alloc_seq();
+        self.schedule_at_seq(time, seq, event);
+    }
+
+    /// Schedules `event` at `time` under a sequence number reserved
+    /// earlier with [`alloc_seq`](HeapQueue::alloc_seq).
+    pub fn schedule_at_seq(&mut self, time: SimTime, seq: u64, event: E) {
+        assert!(seq < self.next_seq, "sequence number was never reserved");
         self.heap.push(Entry { time, seq, event });
         self.stats.pushes += 1;
         let depth = self.heap.len() as u64;

@@ -35,11 +35,40 @@ pub struct PageLoc {
 #[derive(Debug, Clone)]
 pub struct PageMap {
     loc: Vec<PageLoc>,
+    /// The sequential layout: chip `c` holds pages `starts[c]..starts[c +
+    /// 1]` in frames `0..`, and its remaining frames are free.
+    starts: Vec<usize>,
+    frames_per_chip: usize,
+    /// The frame side of the map, built on the first move: only PL moves
+    /// pages, and most simulations run without it. `None` means the map
+    /// still holds the sequential layout.
+    tables: Option<Tables>,
+    moves: u64,
+}
+
+#[derive(Debug, Clone)]
+struct Tables {
     /// Per chip: frame -> occupying page.
     frames: Vec<Vec<Option<PageId>>>,
     /// Per chip: free frame indices (LIFO).
     free: Vec<Vec<usize>>,
-    moves: u64,
+}
+
+impl Tables {
+    fn sequential(starts: &[usize], frames_per_chip: usize) -> Self {
+        let (frames, free) = starts
+            .windows(2)
+            .map(|run| {
+                let mut frames = vec![None; frames_per_chip];
+                for (frame, page) in frames.iter_mut().zip(run[0]..run[1]) {
+                    *frame = Some(page as PageId);
+                }
+                let free = (run[1] - run[0]..frames_per_chip).rev().collect();
+                (frames, free)
+            })
+            .unzip();
+        Tables { frames, free }
+    }
 }
 
 impl PageMap {
@@ -55,31 +84,37 @@ impl PageMap {
         config.validate();
         let chips = config.chips;
         let fpc = config.frames_per_chip();
-        let mut frames = vec![vec![None; fpc]; chips];
-        let mut loc = Vec::with_capacity(config.pages);
-        let mut next_frame = vec![0usize; chips];
-        for page in 0..config.pages {
-            let chip = page * chips / config.pages;
-            let frame = next_frame[chip];
-            assert!(frame < fpc, "chip {chip} overflow during initial layout");
-            frames[chip][frame] = Some(page as PageId);
-            next_frame[chip] += 1;
-            loc.push(PageLoc { chip, frame });
-        }
-        let free = (0..chips)
-            .map(|c| (next_frame[c]..fpc).rev().collect())
+        // Page p sits on chip p * chips / pages, so chip c's run starts
+        // at the first page with p * chips >= c * pages.
+        let starts: Vec<usize> = (0..=chips)
+            .map(|c| (c * config.pages).div_ceil(chips))
             .collect();
+        let mut loc = Vec::with_capacity(config.pages);
+        for (chip, run) in starts.windows(2).enumerate() {
+            assert!(
+                run[1] - run[0] <= fpc,
+                "chip {chip} overflow during initial layout"
+            );
+            loc.extend((0..run[1] - run[0]).map(|frame| PageLoc { chip, frame }));
+        }
         PageMap {
             loc,
-            frames,
-            free,
+            starts,
+            frames_per_chip: fpc,
+            tables: None,
             moves: 0,
         }
     }
 
+    /// The frame tables, built from the sequential layout on first use.
+    fn tables(&mut self) -> &mut Tables {
+        self.tables
+            .get_or_insert_with(|| Tables::sequential(&self.starts, self.frames_per_chip))
+    }
+
     /// Number of chips.
     pub fn chips(&self) -> usize {
-        self.frames.len()
+        self.starts.len() - 1
     }
 
     /// Number of logical pages.
@@ -107,7 +142,10 @@ impl PageMap {
 
     /// Free frames remaining on `chip`.
     pub fn free_frames(&self, chip: usize) -> usize {
-        self.free[chip].len()
+        match &self.tables {
+            Some(t) => t.free[chip].len(),
+            None => self.frames_per_chip - (self.starts[chip + 1] - self.starts[chip]),
+        }
     }
 
     /// Total page moves performed.
@@ -115,9 +153,14 @@ impl PageMap {
         self.moves
     }
 
-    /// Iterates over the pages resident on `chip`.
+    /// Iterates over the pages resident on `chip`, in frame order.
     pub fn pages_on_chip(&self, chip: usize) -> impl Iterator<Item = PageId> + '_ {
-        self.frames[chip].iter().filter_map(|f| *f)
+        let (run, table) = match &self.tables {
+            Some(t) => (None, Some(t.frames[chip].iter().filter_map(|f| *f))),
+            None => (Some(self.starts[chip]..self.starts[chip + 1]), None),
+        };
+        let run = run.into_iter().flatten().map(|p| p as PageId);
+        run.chain(table.into_iter().flatten())
     }
 
     /// Moves `page` to a free frame on `dst` chip. Returns `false` (and
@@ -132,12 +175,13 @@ impl PageMap {
         if cur.chip == dst {
             return false;
         }
-        let Some(frame) = self.free[dst].pop() else {
+        let t = self.tables();
+        let Some(frame) = t.free[dst].pop() else {
             return false;
         };
-        self.frames[cur.chip][cur.frame] = None;
-        self.free[cur.chip].push(cur.frame);
-        self.frames[dst][frame] = Some(page);
+        t.frames[cur.chip][cur.frame] = None;
+        t.free[cur.chip].push(cur.frame);
+        t.frames[dst][frame] = Some(page);
         self.loc[page as usize] = PageLoc { chip: dst, frame };
         self.moves += 1;
         true
@@ -157,8 +201,9 @@ impl PageMap {
         if la.chip == lb.chip {
             return false;
         }
-        self.frames[la.chip][la.frame] = Some(b);
-        self.frames[lb.chip][lb.frame] = Some(a);
+        let t = self.tables();
+        t.frames[la.chip][la.frame] = Some(b);
+        t.frames[lb.chip][lb.frame] = Some(a);
         self.loc[a as usize] = lb;
         self.loc[b as usize] = la;
         self.moves += 2;
@@ -174,8 +219,16 @@ impl PageMap {
     /// Checks internal invariants (every page in exactly one frame, free
     /// lists consistent). Used by tests and debug assertions.
     pub fn check_invariants(&self) {
+        let sequential;
+        let tables = match &self.tables {
+            Some(t) => t,
+            None => {
+                sequential = Tables::sequential(&self.starts, self.frames_per_chip);
+                &sequential
+            }
+        };
         let mut seen = vec![false; self.loc.len()];
-        for (chip, frames) in self.frames.iter().enumerate() {
+        for (chip, frames) in tables.frames.iter().enumerate() {
             let mut occupied = 0;
             for (fi, f) in frames.iter().enumerate() {
                 if let Some(p) = *f {
@@ -190,9 +243,19 @@ impl PageMap {
                 }
             }
             assert_eq!(
-                occupied + self.free[chip].len(),
+                occupied + tables.free[chip].len(),
                 frames.len(),
                 "chip {chip} free-list inconsistent"
+            );
+            assert_eq!(
+                tables.free[chip].len(),
+                self.free_frames(chip),
+                "chip {chip} free count"
+            );
+            assert!(
+                self.pages_on_chip(chip)
+                    .eq(frames.iter().filter_map(|f| *f)),
+                "chip {chip} page order"
             );
         }
         assert!(seen.iter().all(|&s| s), "some page unmapped");
@@ -281,6 +344,35 @@ mod tests {
         for chip in 0..4 {
             assert_eq!(map.free_frames(chip), 0);
         }
+    }
+
+    #[test]
+    fn fewer_pages_than_chips_leave_empty_runs() {
+        let config = SystemConfig {
+            pages: 3,
+            ..small_config()
+        };
+        let mut map = PageMap::new_sequential(&config);
+        map.check_invariants();
+        let chips: Vec<usize> = (0..3).map(|p| map.chip_of(p)).collect();
+        assert_eq!(chips, [0, 1, 2]);
+        assert_eq!(map.pages_on_chip(3).count(), 0);
+        assert_eq!(map.free_frames(3), 8);
+        assert!(map.move_page(2, 3));
+        assert_eq!(map.loc_of(2), PageLoc { chip: 3, frame: 0 });
+        map.check_invariants();
+    }
+
+    #[test]
+    fn first_move_keeps_the_sequential_frames() {
+        let mut map = PageMap::new_sequential(&small_config());
+        let before: Vec<Vec<PageId>> = (0..4).map(|c| map.pages_on_chip(c).collect()).collect();
+        assert!(map.swap_pages(0, 15));
+        let after: Vec<Vec<PageId>> = (0..4).map(|c| map.pages_on_chip(c).collect()).collect();
+        assert_eq!(after[0], [15, 1, 2, 3]);
+        assert_eq!(after[3], [12, 13, 14, 0]);
+        assert_eq!(after[1..3], before[1..3]);
+        map.check_invariants();
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! to hold a steady state also assert that a batch fired
 //! (`batched_requests > 0`), and cases with processor accesses that events
 //! ran off the queue (`deferred_events > 0`); the classic core does
-//! neither.
+//! neither. Runs whose only observer is the causal tracer take the fast
+//! paths too, and record the classic core's span records byte for byte.
 
 use dma_trace::{
     DmaRecord, ProcRecord, SyntheticDbGen, SyntheticStorageGen, Trace, TraceEvent, TraceGen,
@@ -40,6 +41,7 @@ use dmamem::{PolicyKind, Scheme, ServerSimulator, SimResult, SystemConfig};
 use iobus::{BusConfig, DmaDirection, DmaSource};
 use mempower::{EnergyCategory, PowerMode};
 use proptest::prelude::*;
+use simcore::obs::{SpillSink, TraceStats};
 use simcore::prof::Phase;
 use simcore::{SimDuration, SimTime};
 
@@ -742,15 +744,190 @@ fn processor_only_trace_conserves() {
     }
 }
 
-/// An observed run keeps every event on the queue, as the classic core
-/// does: observers need the queued path's exact event stream.
+/// Runs with an event log or metrics keep every event on the queue and
+/// book no batch, as the classic core does: `obs_summary_table` prints
+/// their queue counts, and their event log would need every booked
+/// period's events. Runs whose only observer is the causal tracer take
+/// the train path: they defer events and book batches.
 #[test]
-fn observed_runs_defer_nothing() {
-    let trace = Workload::OltpDb.generate(SimDuration::from_ms(1), 42);
-    let observed = ServerSimulator::new(paper_system(), Scheme::baseline())
-        .with_observability(1 << 10)
-        .run(&trace);
-    assert_eq!(observed.profile.deferred_events, 0);
+fn only_tracer_only_runs_take_the_train_path() {
+    let db = Workload::OltpDb.generate(SimDuration::from_ms(1), 42);
+    let st = Workload::OltpSt.generate(SimDuration::from_ms(1), 42);
+    let sim = || ServerSimulator::new(paper_system(), Scheme::baseline());
+    for (label, trace) in [("OLTP-Db", &db), ("OLTP-St", &st)] {
+        for (what, observed) in [
+            ("observed", sim().with_observability(1 << 10).run(trace)),
+            (
+                "observed and traced",
+                sim()
+                    .with_observability(1 << 10)
+                    .with_tracing(1 << 10, None)
+                    .run(trace),
+            ),
+        ] {
+            let profile = observed.profile;
+            assert_eq!(profile.deferred_events, 0, "{label} {what}: deferred");
+            assert_eq!(profile.batched_requests, 0, "{label} {what}: batched");
+        }
+    }
+    let traced = |trace: &Trace| sim().with_tracing(1 << 10, None).run(trace).profile;
+    assert!(
+        traced(&db).deferred_events > 0,
+        "traced OLTP-Db deferred nothing"
+    );
+    assert!(
+        traced(&st).batched_requests > 0,
+        "traced OLTP-St batched nothing"
+    );
+}
+
+/// FNV-1a 64-bit digest of a trace export.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What a traced run recorded, three ways: a ring that holds the whole
+/// run (its export's digest and the run's result), the stream a 64-record
+/// ring spills into memory (digest and counts), and a 64-record ring
+/// that drops (its export's digest) — each with its `validate()` stats.
+#[derive(Debug, PartialEq)]
+struct Traced {
+    whole: u64,
+    whole_stats: Result<TraceStats, String>,
+    streamed: u64,
+    streamed_counts: (u64, u64, Result<TraceStats, String>),
+    small: u64,
+    small_stats: Result<TraceStats, String>,
+}
+
+fn traced_run(
+    config: &SystemConfig,
+    scheme: Scheme,
+    trace: &Trace,
+    classic: bool,
+) -> (SimResult, Traced) {
+    let sim = |capacity: usize, spill: Option<SpillSink>| {
+        let sim = ServerSimulator::new(config.clone(), scheme).with_tracing(capacity, spill);
+        let sim = if classic {
+            sim.with_classic_event_core()
+        } else {
+            sim
+        };
+        sim.run(trace)
+    };
+    let result = sim(1 << 20, None);
+    let whole = result.trace.as_ref().expect("traced run");
+    assert_eq!(whole.dropped(), 0, "the whole-run ring dropped records");
+    let (whole_stats, whole) = (whole.validate(), fnv1a64(whole.to_chrome_json().as_bytes()));
+    let (sink, bytes) = SpillSink::memory();
+    let mut spilled = sim(64, Some(sink)).trace.expect("traced run");
+    spilled.finalize_spill();
+    let streamed = fnv1a64(&bytes.lock().expect("spill buffer"));
+    let streamed_counts = (spilled.spilled(), spilled.dropped(), spilled.validate());
+    let small = sim(64, None).trace.expect("traced run");
+    let traced = Traced {
+        whole,
+        whole_stats,
+        streamed,
+        streamed_counts,
+        small: fnv1a64(small.to_chrome_json().as_bytes()),
+        small_stats: small.validate(),
+    };
+    (result, traced)
+}
+
+/// Runs `trace` traced on the train path and on the classic core and
+/// demands the same records and the same result; returns the train
+/// path's result.
+fn conserve_traced(label: &str, config: &SystemConfig, scheme: Scheme, trace: &Trace) -> SimResult {
+    let (fast, fast_traced) = traced_run(config, scheme, trace, false);
+    let (classic, classic_traced) = traced_run(config, scheme, trace, true);
+    assert_conserved(label, &fast, &classic);
+    assert_eq!(fast_traced, classic_traced, "{label}: trace records");
+    assert!(
+        fast_traced.whole_stats.is_ok(),
+        "{label}: invalid span tree"
+    );
+    fast
+}
+
+/// Traced runs take the train path and replay each batch's span records:
+/// OLTP-St under the baseline, DMA-TA and DMA-TA-PL(2) at the μ of a
+/// 10 % CP-Limit, and the OLTP-Db baseline, record byte-identical rings,
+/// spill streams and span checks to the classic core's, and the storage
+/// runs batch.
+#[test]
+fn traced_runs_replay_the_classic_core_records() {
+    let config = paper_system();
+    let st = Workload::OltpSt.generate(SimDuration::from_us(500), 42);
+    let base = ServerSimulator::new(config.clone(), Scheme::baseline()).run(&st);
+    let mu = mu_from_baseline(
+        &config,
+        &base,
+        0.10,
+        Workload::OltpSt.client_extra_latency(),
+    );
+    for scheme in [
+        Scheme::baseline(),
+        Scheme::dma_ta(mu),
+        Scheme::dma_ta_pl(mu, 2),
+    ] {
+        let label = format!("traced OLTP-St {}", scheme.label());
+        let fast = conserve_traced(&label, &config, scheme, &st);
+        assert!(
+            fast.profile.batched_requests > 0,
+            "{label}: no train batch fired"
+        );
+    }
+    let db = Workload::OltpDb.generate(SimDuration::from_us(500), 42);
+    let fast = conserve_traced("traced OLTP-Db baseline", &config, Scheme::baseline(), &db);
+    assert!(
+        fast.profile.deferred_events > 0,
+        "traced OLTP-Db: nothing deferred"
+    );
+}
+
+/// A three-request transfer to chip 1 ends inside a window of the long
+/// train into chip 0: its last completion leaves chip 1 without DMA
+/// work, its next policy timer leaves the lane for the off-queue slots,
+/// and the traced batches after it must end before that timer.
+#[test]
+fn a_chip_losing_its_dma_work_inside_a_traced_window_bounds_the_batch() {
+    let trace = Trace::from_events(vec![
+        dma(95_000, 0, 0, LONG_TRANSFER),
+        dma(100_000, 1, 2048, 24),
+    ]);
+    for scheme in [Scheme::baseline(), Scheme::dma_ta(1.0)] {
+        let label = format!("draining chip {}", scheme.label());
+        let fast = conserve_traced(&label, &SystemConfig::default(), scheme, &trace);
+        assert!(
+            fast.profile.batched_requests > 0,
+            "{label}: no train batch fired"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Traced random small systems and traces under every scheme record
+    /// the classic core's span records and results.
+    #[test]
+    fn traced_random_small_traces_conserve(
+        case in (1usize..5, 1usize..4, any::<bool>(), any::<u64>()),
+        which in 0u8..3,
+        mu in 0.0f64..3.0,
+    ) {
+        let (config, trace) = random_case(case);
+        let scheme = match which {
+            0 => Scheme::baseline(),
+            2 if config.chips >= 2 => Scheme::dma_ta_pl(mu, 2),
+            _ => Scheme::dma_ta(mu),
+        };
+        conserve_traced(&format!("traced {case:?} {}", scheme.label()), &config, scheme, &trace);
+    }
 }
 
 /// 20-ms database traces, long enough for processor accesses to tie with

@@ -51,4 +51,4 @@ pub use events::{EventSink, ObsEvent};
 pub use json::JsonObject;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use serve::{render_prometheus, LiveState, ServerHandle};
-pub use trace::{SpanId, SpillSink, TraceBuffer, TraceStats, TrackId, TrackKind};
+pub use trace::{SpanId, SpanTape, SpillSink, TraceBuffer, TraceStats, TrackId, TrackKind};

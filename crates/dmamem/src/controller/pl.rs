@@ -163,6 +163,35 @@ impl GroupLayout {
         }
         self.group_chips.len() - 1
     }
+
+    /// The hot groups that own chips, as `(group, chip range)`, hottest
+    /// first.
+    fn owning_hot_groups(&self) -> impl Iterator<Item = (usize, (usize, usize))> + '_ {
+        (0..self.groups() - 1)
+            .map(|g| (g, self.chip_range(g)))
+            .filter(|(_, (start, end))| start < end)
+    }
+}
+
+/// Whether a `groups`-group plan at `n_hot` hot chips (of `total`) is the
+/// two-group plan: its hot groups that own chips are the two-group
+/// layout's, with the same indices and chip ranges.
+///
+/// [`plan_and_apply_observed`] reads `groups` only through
+/// [`GroupLayout::new`], and a hot group with no chips targets no pages
+/// and makes no moves, so from equal inputs such a plan produces the
+/// same moves as the two-group plan. For `groups > 2` this holds exactly
+/// when `n_hot <= 1`, and agreement at `n_hot` implies agreement at every
+/// smaller count: a run whose largest plan agreed agreed at every plan.
+///
+/// # Panics
+///
+/// Panics if `groups < 2`, `total` is zero, or `n_hot >= total` (see
+/// [`GroupLayout::new`]).
+pub fn agrees_with_two_groups(groups: usize, n_hot: usize, total: usize) -> bool {
+    GroupLayout::new(groups, n_hot, total)
+        .owning_hot_groups()
+        .eq(GroupLayout::new(2, n_hot, total).owning_hot_groups())
 }
 
 /// One planned page move.
@@ -428,6 +457,27 @@ mod tests {
             (0..3).map(|g| l.chips_in(g)).collect::<Vec<_>>(),
             vec![1, 0, 7]
         );
+    }
+
+    #[test]
+    fn layouts_agree_with_two_groups_only_up_to_one_hot_chip() {
+        let total = 32;
+        for groups in 3..=8 {
+            let agrees: Vec<bool> = (0..total)
+                .map(|n_hot| agrees_with_two_groups(groups, n_hot, total))
+                .collect();
+            for (n_hot, &a) in agrees.iter().enumerate() {
+                // n_hot = 0 is the stats of an empty tracker's plan.
+                assert_eq!(a, n_hot <= 1, "K = {groups}, n_hot = {n_hot}");
+                // Monotone: agreement at n_hot holds at every smaller count,
+                // so a run's largest hot-chip count decides for all its plans.
+                if a {
+                    assert!(agrees[..n_hot].iter().all(|&b| b), "K = {groups}");
+                }
+            }
+        }
+        // Two groups always agree with themselves.
+        assert!((0..total).all(|n_hot| agrees_with_two_groups(2, n_hot, total)));
     }
 
     #[test]

@@ -48,6 +48,11 @@ pub struct SimResult {
     pub delayed_firsts: u64,
     /// Page moves performed by PL.
     pub page_moves: u64,
+    /// Largest number of hot chips any PL plan of the run chose (0 when
+    /// no plan ran). The sweep engine reads it to tell whether a PL(K)
+    /// run would plan exactly as its PL(2) twin did (see
+    /// [`crate::controller::pl::agrees_with_two_groups`]).
+    pub max_hot_chips: usize,
     /// The `mu` budget in force (0 when TA is off).
     pub mu: f64,
     /// The system's sleep-floor power (all chips in the deepest mode), in
@@ -205,6 +210,7 @@ mod tests {
             wakes: 0,
             delayed_firsts: 0,
             page_moves: 0,
+            max_hot_chips: 0,
             mu: 0.0,
             sleep_floor_mw: 96.0,
             slack: None,

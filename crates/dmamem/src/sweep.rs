@@ -13,13 +13,17 @@
 //!   from the full `(SystemConfig, Scheme, trace)` tuple (`Debug`-derived;
 //!   Rust's shortest-roundtrip float formatting makes it collision-free),
 //!   so a baseline shared by six CP-Limit points executes once.
+//! * **Twin answers** — a job whose PL has K > 2 groups takes its PL(2)
+//!   twin's result when the twin's plans never gave K groups a layout of
+//!   their own (see [`SweepCtx::run_batch`]).
 //! * **Parallel batches** — [`SweepCtx::run_batch`] executes the
 //!   non-memoized jobs on a [`simcore::par`] work-stealing pool and
 //!   returns results in job order.
 //!
 //! Determinism: the simulator itself is deterministic, batch results come
 //! back in input order, and memoization only ever substitutes a result
-//! for an identical `(config, scheme, trace)` run — so figure outputs are
+//! for an identical `(config, scheme, trace)` run, or for a PL(K) run that
+//! provably repeats its PL(2) twin step for step — so figure outputs are
 //! **bit-identical** at any thread count, with memoization on or off.
 //! `crates/dmamem/tests/sweep_determinism.rs` property-tests exactly that.
 
@@ -32,7 +36,8 @@ use simcore::obs::LiveState;
 use simcore::par;
 use simcore::prof::{EngineProfile, Phase};
 
-use crate::config::{Scheme, SystemConfig};
+use crate::config::{PlConfig, Scheme, SystemConfig};
+use crate::controller::pl::agrees_with_two_groups;
 use crate::metrics::SimResult;
 use crate::system::ServerSimulator;
 
@@ -113,6 +118,19 @@ impl SimJob {
             self.config, self.scheme, self.trace.key
         )
     }
+
+    /// The job's PL(2) twin when its PL has more than two groups: the same
+    /// configuration, trace and scheme, with two groups.
+    pub fn pl2_twin(&self) -> Option<SimJob> {
+        let pl = self.scheme.pl.filter(|pl| pl.groups > 2)?;
+        Some(SimJob {
+            scheme: Scheme {
+                pl: Some(PlConfig { groups: 2, ..pl }),
+                ..self.scheme
+            },
+            ..self.clone()
+        })
+    }
 }
 
 /// Memoization statistics of a [`SweepCtx`].
@@ -120,8 +138,11 @@ impl SimJob {
 pub struct MemoStats {
     /// Jobs answered from the result cache (or deduplicated in-batch).
     pub hits: u64,
-    /// Jobs that executed a simulation.
+    /// Simulations executed, PL(2) twins run for a batch included.
     pub misses: u64,
+    /// Jobs with more than two PL groups answered by their PL(2) twin's
+    /// run (see [`SweepCtx::run_batch`]).
+    pub equiv_hits: u64,
     /// Traces served from the trace cache.
     pub trace_hits: u64,
     /// Traces generated.
@@ -274,6 +295,7 @@ pub struct SweepCtx {
     traces: Mutex<HashMap<Arc<str>, SharedTrace>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    equiv_hits: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
 }
@@ -293,6 +315,7 @@ impl SweepCtx {
             traces: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            equiv_hits: AtomicU64::new(0),
             trace_hits: AtomicU64::new(0),
             trace_misses: AtomicU64::new(0),
         }
@@ -372,6 +395,7 @@ impl SweepCtx {
         MemoStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            equiv_hits: self.equiv_hits.load(Ordering::Relaxed),
             trace_hits: self.trace_hits.load(Ordering::Relaxed),
             trace_misses: self.trace_misses.load(Ordering::Relaxed),
         }
@@ -415,7 +439,14 @@ impl SweepCtx {
     ///
     /// With memoization on, jobs whose key already has a cached result —
     /// or that repeat an earlier job in this same batch — do not
-    /// simulate; everything else runs on the work-stealing pool.
+    /// simulate, and the batch runs in two waves. Wave one runs every job
+    /// but those whose PL has more than two groups, plus each such job's
+    /// PL(2) twin (see [`SimJob::pl2_twin`]). Wave two answers each of
+    /// those jobs from its twin when, at the twin's largest hot-chip
+    /// count, K groups own the same chips as two do
+    /// ([`agrees_with_two_groups`]); the rest simulate. Everything that
+    /// simulates runs on the work-stealing pool. With memoization off,
+    /// every job simulates.
     pub fn run_batch(&self, jobs: Vec<SimJob>) -> Vec<Arc<SimResult>> {
         if !self.memoize {
             self.misses.fetch_add(jobs.len() as u64, Ordering::Relaxed);
@@ -428,26 +459,71 @@ impl SweepCtx {
         }
 
         let keys: Vec<Arc<str>> = jobs.iter().map(|j| Arc::from(j.memo_key())).collect();
-        // First occurrence of each un-cached key becomes a pending run.
+        let twins: Vec<Option<(Arc<str>, SimJob)>> = jobs
+            .iter()
+            .map(|j| j.pl2_twin().map(|t| (Arc::from(t.memo_key()), t)))
+            .collect();
+        // The batch's own jobs go first, so a twin that repeats one of
+        // them is not counted twice.
+        let mut wave: Vec<(&Arc<str>, &SimJob, Part<'_>)> = Vec::new();
+        for ((job, key), twin) in jobs.iter().zip(&keys).zip(&twins) {
+            if twin.is_none() {
+                wave.push((key, job, Part::Job));
+            }
+        }
+        for (key, job) in twins.iter().flatten() {
+            wave.push((key, job, Part::Twin));
+        }
+        self.run_wave(wave);
+        let mut wave = Vec::new();
+        for ((job, key), twin) in jobs.iter().zip(&keys).zip(&twins) {
+            if let Some((twin_key, _)) = twin {
+                wave.push((key, job, Part::Equiv(twin_key)));
+            }
+        }
+        self.run_wave(wave);
+
+        // simlint::allow(panic-path, "lock poisoning means a sibling sweep thread already panicked; propagating the abort is the only sound continuation")
+        let memo = self.memo.lock().expect("memo cache lock poisoned");
+        keys.iter()
+            // simlint::allow(panic-path, "every key was memo-cached, answered by its twin or simulated and inserted by the waves above; absence is a logic bug worth aborting on")
+            .map(|k| Arc::clone(memo.get(k).expect("every batch key resolved")))
+            .collect()
+    }
+
+    /// Resolves one wave of [`run_batch`](SweepCtx::run_batch): the
+    /// first occurrence of each key the memo lacks is answered by its
+    /// twin ([`Part::Equiv`]) or simulated, and every result lands in the
+    /// memo.
+    fn run_wave(&self, wave: Vec<(&Arc<str>, &SimJob, Part<'_>)>) {
         let mut pending: Vec<(Arc<str>, SimJob)> = Vec::new();
         {
             // simlint::allow(panic-path, "lock poisoning means a sibling sweep thread already panicked; propagating the abort is the only sound continuation")
-            let memo = self.memo.lock().expect("memo cache lock poisoned");
+            let mut memo = self.memo.lock().expect("memo cache lock poisoned");
             // simlint::allow(nondet-iter, "first-occurrence dedup set: membership tests only, never iterated")
             let mut claimed: HashMap<&str, ()> = HashMap::new();
-            for (job, key) in jobs.iter().zip(&keys) {
+            for (key, job, part) in wave {
                 if memo.contains_key(key) || claimed.contains_key(key.as_ref()) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    claimed.insert(key, ());
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    pending.push((Arc::clone(key), job.clone()));
+                    if !matches!(part, Part::Twin) {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    continue;
                 }
+                if let Part::Equiv(twin_key) = part {
+                    if let Some(r) = memo.get(twin_key).and_then(|twin| twin_answer(job, twin)) {
+                        memo.insert(Arc::clone(key), r);
+                        self.equiv_hits.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                }
+                claimed.insert(key, ());
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                pending.push((Arc::clone(key), job.clone()));
             }
         }
         if let Some(live) = &self.live {
-            // Only batches that actually simulate count as waves; fully
-            // memoized batches finish instantly and would skew progress.
+            // Only waves that actually simulate count; fully memoized
+            // ones finish instantly and would skew progress.
             if !pending.is_empty() {
                 live.begin_wave(pending.len() as u64);
             }
@@ -460,11 +536,33 @@ impl SweepCtx {
         for (key, r) in fresh {
             memo.insert(key, r);
         }
-        keys.iter()
-            // simlint::allow(panic-path, "every key was either memo-cached or claimed as pending and inserted above; absence is a logic bug worth aborting on")
-            .map(|k| Arc::clone(memo.get(k).expect("every batch key resolved")))
-            .collect()
     }
+}
+
+/// What a job of a [`SweepCtx::run_wave`] stands for.
+enum Part<'a> {
+    /// A job of the batch.
+    Job,
+    /// The PL(2) twin of a job of the batch; a hit on it is not counted.
+    Twin,
+    /// A job of the batch with more than two PL groups, answered by the
+    /// result under its twin's key when the group layouts agree.
+    Equiv(&'a Arc<str>),
+}
+
+/// The result of `job`, a PL(K > 2) run, taken from its PL(2) `twin`'s
+/// run if every plan of the twin chose a hot-chip count at which K groups
+/// lay out as two do. From equal states the two runs then make equal
+/// plans, so by induction over the plans they are the same run; only the
+/// scheme label differs. `None` when the layouts part at some plan.
+fn twin_answer(job: &SimJob, twin: &SimResult) -> Option<Arc<SimResult>> {
+    let pl = job.scheme.pl?;
+    agrees_with_two_groups(pl.groups, twin.max_hot_chips, job.config.chips).then(|| {
+        Arc::new(SimResult {
+            scheme: job.scheme.label(),
+            ..twin.clone()
+        })
+    })
 }
 
 impl Default for SweepCtx {
@@ -567,6 +665,35 @@ mod tests {
             assert_ne!(k, base_key);
             assert!(seen.insert(k), "memo key collision for {v:?}");
         }
+    }
+
+    #[test]
+    fn pl_jobs_take_their_twins_result() {
+        // Too short for a PL plan, so every layout agrees.
+        let ctx = SweepCtx::new(2);
+        let trace = tiny_trace(&ctx, 5);
+        let job = |g| SimJob::new(small_config(), Scheme::dma_ta_pl(0.5, g), trace.clone());
+        let r = ctx.run_batch(vec![job(2), job(3), job(3)]);
+        assert_eq!(r[0].max_hot_chips, 0);
+        assert_eq!(
+            (r[1].scheme.as_str(), r[1].energy.clone()),
+            ("DMA-TA-PL(3)", r[0].energy.clone())
+        );
+        assert!(Arc::ptr_eq(&r[1], &r[2]));
+        let stats = ctx.memo_stats();
+        assert_eq!((stats.misses, stats.equiv_hits, stats.hits), (1, 1, 1));
+        // A twin outside the batch runs as a simulation of its own; one
+        // already in the memo is not counted.
+        let _ = ctx.run_batch(vec![job(6)]);
+        let lone = SweepCtx::serial();
+        let _ = lone.run_batch(vec![SimJob::new(
+            small_config(),
+            Scheme::dma_ta_pl(0.5, 6),
+            tiny_trace(&lone, 5),
+        )]);
+        let (a, b) = (ctx.memo_stats(), lone.memo_stats());
+        assert_eq!((a.misses, a.equiv_hits, a.hits), (1, 2, 1));
+        assert_eq!((b.misses, b.equiv_hits, b.hits), (1, 1, 0));
     }
 
     #[test]

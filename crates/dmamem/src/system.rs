@@ -516,6 +516,8 @@ struct Engine<'a> {
     dma_serving: SimDuration,
     delayed_firsts: u64,
     page_moves: u64,
+    /// Largest hot-chip count any PL plan chose (0 before the first).
+    max_hot_chips: usize,
     proc_service: SimDuration,
     /// One-entry `(bytes, service_time(bytes))` memo for the hot DMA
     /// serve path (request sizes are uniform within a run).
@@ -653,6 +655,7 @@ impl<'a> Engine<'a> {
             dma_serving: SimDuration::ZERO,
             delayed_firsts: 0,
             page_moves: 0,
+            max_hot_chips: 0,
             proc_service: config.power_model.service_time(config.cache_line_bytes),
             service_memo: (
                 config.cache_line_bytes,
@@ -940,6 +943,7 @@ impl<'a> Engine<'a> {
             wakes,
             delayed_firsts: self.delayed_firsts,
             page_moves: self.page_moves,
+            max_hot_chips: self.max_hot_chips,
             mu: self.scheme.ta.map_or(0.0, |t| t.mu),
             slack: slack_summary,
             obs,
@@ -1843,6 +1847,7 @@ impl<'a> Engine<'a> {
             plan_and_apply_observed(tracker, &mut self.page_map, &pl, fpc, min_hot)
         };
         self.page_moves += moves.len() as u64;
+        self.max_hot_chips = self.max_hot_chips.max(stats.hot_chips);
         if !self.obs_quiet {
             self.obs.emit(SimEvent::PlPlan {
                 at: self.now,

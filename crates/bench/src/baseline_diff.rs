@@ -47,6 +47,7 @@ const FIGURE_FIELDS: &[&str] = &[
     "sims",
     "memo_hits",
     "memo_misses",
+    "equiv_hits",
     "trace_hits",
     "trace_misses",
 ];
@@ -410,7 +411,7 @@ mod tests {
              \"heap_pushes\": 1005, \"heap_pops\": 1000, \"max_heap_depth\": 17, \
              \"transfers\": 9, \"requests\": 640, \"batched_requests\": 600, \"deferred_events\": 300, \
              \"sims\": 2, \"memo_hits\": 3, \
-             \"memo_misses\": 2, \"trace_hits\": 1, \"trace_misses\": 1}}\n],\n\
+             \"memo_misses\": 2, \"equiv_hits\": 1, \"trace_hits\": 1, \"trace_misses\": 1}}\n],\n\
              \"totals\": {{\"events\": {events}, \"heap_pushes\": 1005, \"heap_pops\": 1000, \
              \"max_heap_depth\": 17, \"transfers\": 9, \"requests\": 640, \"batched_requests\": 600, \
              \"deferred_events\": 300, \"sims\": 2}},\n\
@@ -437,10 +438,10 @@ mod tests {
         let r = engine("1000", 42);
         let d = gate(&r, &r).unwrap();
         assert!(d.failures().is_empty());
-        // 13 per-figure fields + 9 totals + 1 phase.
-        assert_eq!(d.entries.len(), 23);
+        // 14 per-figure fields + 9 totals + 1 phase.
+        assert_eq!(d.entries.len(), 24);
         assert!(d.entries.iter().all(|e| e.policy == Policy::Exact));
-        assert!(d.render().contains("23 of 23 fields within policy"));
+        assert!(d.render().contains("24 of 24 fields within policy"));
     }
 
     #[test]

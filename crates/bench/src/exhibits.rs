@@ -259,13 +259,14 @@ pub fn write_csv(dir: &Path, file: &str, contents: &str) -> String {
 /// before it; empty when nothing went through the sweep engine.
 pub fn footer(runner: &SweepRunner) -> String {
     let stats = runner.memo_stats();
-    if stats.hits + stats.misses == 0 {
+    if stats.hits + stats.misses + stats.equiv_hits == 0 {
         return String::new();
     }
     format!(
-        "\n(sweep engine: {} simulations run, {} served from memo, {} worker thread(s))\n",
+        "\n(sweep engine: {} simulations run, {} served from memo, {} answered by their PL(2) twin, {} worker thread(s))\n",
         stats.misses,
         stats.hits,
+        stats.equiv_hits,
         runner.threads()
     )
 }

@@ -3,7 +3,7 @@
 //! An [`EngineReport`] collects the per-figure [`FigTime`] accounting of
 //! a [`SweepRunner`] — deterministic engine counters (events dispatched,
 //! heap ops, max calendar depth, transfers/requests allocated, requests
-//! booked by train batches, events run off the queue, memo and
+//! booked by train batches, events run off the queue, memo, twin and
 //! trace-cache hits, per-phase calls) — and renders it as the
 //! `BENCH_engine.json` baseline that [`crate::baseline_diff`] compares
 //! exactly. The report carries counters only: host time is measured from
@@ -42,7 +42,7 @@ impl EngineReport {
     /// their own), so it gets no row.
     pub fn from_runner(runner: &SweepRunner, trace_ms: f64, seed: u64) -> EngineReport {
         let touched = |t: &&FigTime| {
-            t.memo_hits + t.memo_misses + t.trace_hits + t.trace_misses > 0
+            t.memo_hits + t.memo_misses + t.equiv_hits + t.trace_hits + t.trace_misses > 0
                 || t.prof != ProfTotals::default()
         };
         EngineReport {
@@ -68,8 +68,8 @@ impl EngineReport {
                 "    {{\"figure\": \"{}\", \"events\": {}, \"heap_pushes\": {}, \
                  \"heap_pops\": {}, \"max_heap_depth\": {}, \"transfers\": {}, \
                  \"requests\": {}, \"batched_requests\": {}, \"deferred_events\": {}, \
-                 \"sims\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \"trace_hits\": {}, \
-                 \"trace_misses\": {}}}{}\n",
+                 \"sims\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \"equiv_hits\": {}, \
+                 \"trace_hits\": {}, \"trace_misses\": {}}}{}\n",
                 r.figure,
                 r.prof.events,
                 r.prof.heap_pushes,
@@ -82,6 +82,7 @@ impl EngineReport {
                 r.prof.sims,
                 r.memo_hits,
                 r.memo_misses,
+                r.equiv_hits,
                 r.trace_hits,
                 r.trace_misses,
                 if i + 1 < self.rows.len() { "," } else { "" }
@@ -143,6 +144,7 @@ mod tests {
                 ms: 10.0,
                 memo_hits: 3,
                 memo_misses: 2,
+                equiv_hits: 1,
                 trace_hits: 1,
                 trace_misses: 1,
                 prof,

@@ -29,6 +29,8 @@ pub struct FigTime {
     pub memo_hits: u64,
     /// Simulations this figure actually executed.
     pub memo_misses: u64,
+    /// PL(K > 2) jobs this figure had answered by their PL(2) twin.
+    pub equiv_hits: u64,
     /// Traces this figure read back from the trace cache.
     pub trace_hits: u64,
     /// Traces this figure generated.
@@ -112,6 +114,7 @@ impl SweepRunner {
             ms,
             memo_hits: memo.hits - memo_before.hits,
             memo_misses: memo.misses - memo_before.misses,
+            equiv_hits: memo.equiv_hits - memo_before.equiv_hits,
             trace_hits: memo.trace_hits - memo_before.trace_hits,
             trace_misses: memo.trace_misses - memo_before.trace_misses,
             prof,

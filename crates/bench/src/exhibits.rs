@@ -259,7 +259,7 @@ pub fn write_csv(dir: &Path, file: &str, contents: &str) -> String {
 /// before it; empty when nothing went through the sweep engine.
 pub fn footer(runner: &SweepRunner) -> String {
     let stats = runner.memo_stats();
-    if stats.hits + stats.misses + stats.equiv_hits == 0 {
+    if stats.hits + stats.misses == 0 {
         return String::new();
     }
     format!(

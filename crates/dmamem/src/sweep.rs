@@ -121,7 +121,7 @@ impl SimJob {
 
     /// The job's PL(2) twin when its PL has more than two groups: the same
     /// configuration, trace and scheme, with two groups.
-    pub fn pl2_twin(&self) -> Option<SimJob> {
+    fn pl2_twin(&self) -> Option<SimJob> {
         let pl = self.scheme.pl.filter(|pl| pl.groups > 2)?;
         Some(SimJob {
             scheme: Scheme {
@@ -441,12 +441,12 @@ impl SweepCtx {
     /// or that repeat an earlier job in this same batch — do not
     /// simulate, and the batch runs in two waves. Wave one runs every job
     /// but those whose PL has more than two groups, plus each such job's
-    /// PL(2) twin (see [`SimJob::pl2_twin`]). Wave two answers each of
-    /// those jobs from its twin when, at the twin's largest hot-chip
-    /// count, K groups own the same chips as two do
-    /// ([`agrees_with_two_groups`]); the rest simulate. Everything that
-    /// simulates runs on the work-stealing pool. With memoization off,
-    /// every job simulates.
+    /// PL(2) twin: the same configuration, trace and scheme with two
+    /// groups. Wave two answers each of those jobs from its twin when, at
+    /// the twin's largest hot-chip count, K groups own the same chips as
+    /// two do ([`agrees_with_two_groups`]); the rest simulate. Everything
+    /// that simulates runs on the work-stealing pool. With memoization
+    /// off, every job simulates.
     pub fn run_batch(&self, jobs: Vec<SimJob>) -> Vec<Arc<SimResult>> {
         if !self.memoize {
             self.misses.fetch_add(jobs.len() as u64, Ordering::Relaxed);

@@ -30,10 +30,6 @@ pub const ATTRIBUTION_TOLERANCE: f64 = 0.02;
 /// number type) no longer represents every integer, so equality would lie.
 const MAX_COUNTER: f64 = 9_007_199_254_740_992.0;
 
-/// The queue kind of reports recorded before the `queue_kind` field
-/// existed: they were all recorded on the binary-heap queue.
-const LEGACY_QUEUE_KIND: &str = "binary-heap-v1";
-
 /// Per-figure engine counters.
 const FIGURE_FIELDS: &[&str] = &[
     "events",
@@ -251,7 +247,7 @@ fn parse_engine(label: &str, v: &JsonValue) -> Result<(Kind, Vec<Row>), String> 
     let queue_kind = v
         .get("queue_kind")
         .and_then(JsonValue::as_str)
-        .unwrap_or(LEGACY_QUEUE_KIND)
+        .ok_or_else(|| format!("{label}: missing `queue_kind`"))?
         .to_string();
     let trace_ms = v
         .get("trace_ms")
@@ -502,25 +498,22 @@ mod tests {
     fn queue_kind_mismatch_is_a_clear_rerecord_error() {
         let current = engine("1000", 42);
         let kind = format!(" \"queue_kind\": \"{}\",", dmamem::ENGINE_QUEUE_KIND);
-        // A report without the field reads as the legacy heap kind; a
-        // wheel-only report predates the request-train lane.
-        for (old, old_kind) in [
-            (current.replace(&kind, ""), LEGACY_QUEUE_KIND),
-            (
-                current.replace(
-                    &kind,
-                    &format!(" \"queue_kind\": \"{}\",", simcore::QUEUE_KIND),
-                ),
-                simcore::QUEUE_KIND,
-            ),
-        ] {
-            assert_ne!(old, current);
-            let err = gate(&old, &current).unwrap_err();
-            assert!(err.contains("queue_kind mismatch"), "{err}");
-            assert!(err.contains("different queue semantics"), "{err}");
-            assert!(err.contains("re-record"), "{err}");
-            assert!(err.contains(old_kind) && err.contains(dmamem::ENGINE_QUEUE_KIND));
-        }
+        // A report without the field is refused.
+        let unnamed = current.replace(&kind, "");
+        assert_ne!(unnamed, current);
+        let err = gate(&unnamed, &current).unwrap_err();
+        assert!(err.contains("missing `queue_kind`"), "{err}");
+        // A wheel-only report predates the request-train lane.
+        let old = current.replace(
+            &kind,
+            &format!(" \"queue_kind\": \"{}\",", simcore::QUEUE_KIND),
+        );
+        assert_ne!(old, current);
+        let err = gate(&old, &current).unwrap_err();
+        assert!(err.contains("queue_kind mismatch"), "{err}");
+        assert!(err.contains("different queue semantics"), "{err}");
+        assert!(err.contains("re-record"), "{err}");
+        assert!(err.contains(simcore::QUEUE_KIND) && err.contains(dmamem::ENGINE_QUEUE_KIND));
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!   chip-activity changes), exportable as JSONL; the Figure 2(a)/3
 //!   timelines in [`crate::experiments`] are drawn from its
 //!   chip-activity changes;
-//! * **metrics** — counters/gauges/histograms in a
-//!   [`MetricsRegistry`](simcore::obs::MetricsRegistry) under the
-//!   `dmamem.*` namespace ([`METRIC_KEYS`]);
-//! * **tracer** — the causal [`Tracer`](crate::tracing::Tracer) reads the
-//!   transfer-level facts as well (transfer start, request issue, release,
-//!   service start and completion), which are never written to the sink.
+//! * **metrics** — counters/gauges/histograms in a [`MetricsRegistry`]
+//!   under the `dmamem.*` namespace ([`METRIC_KEYS`]);
+//! * **tracer** — the causal [`Tracer`] reads the transfer-level facts as
+//!   well (transfer start, request issue, release, service start and
+//!   completion), which are never written to the sink.
 //!
 //! The slack ledger is *complete*: every credit and debit the
 //! [`SlackAccount`](crate::controller::ta::SlackAccount) sees is mirrored
@@ -767,32 +766,60 @@ impl EventLog {
 
 /// The engine-side observer hub: every consumer (event log, metrics,
 /// causal tracer) hangs off this one struct, and the engine reaches them
-/// all through [`Obs::emit`].
-#[derive(Debug, Default)]
+/// all through [`Obs::emit`], which alone decides whether an event goes
+/// anywhere.
+#[derive(Debug)]
 pub(crate) struct Obs {
     /// Event log, when observability is enabled.
-    pub(crate) log: Option<EventLog>,
+    log: Option<EventLog>,
     /// Metric handles, when observability is enabled.
-    pub(crate) metrics: Option<ObsMetrics>,
+    metrics: Option<ObsMetrics>,
     /// Causal span tracer, when transfer-level tracing was requested.
-    pub(crate) tracer: Option<Tracer>,
+    tracer: Option<Tracer>,
+    /// Some consumer is attached. Only [`Obs::new`] sets the consumers,
+    /// so this cannot go stale.
+    attached: bool,
     last_activity: Vec<Option<ChipActivity>>,
     last_ps: u64,
 }
 
 impl Obs {
-    /// A hub with every consumer detached, sized for `chips` chips.
-    pub(crate) fn new(chips: usize) -> Self {
+    /// A hub over the given consumers, sized for `chips` chips.
+    pub(crate) fn new(
+        chips: usize,
+        log: Option<EventLog>,
+        metrics: Option<ObsMetrics>,
+        tracer: Option<Tracer>,
+    ) -> Self {
         Obs {
+            attached: log.is_some() || metrics.is_some() || tracer.is_some(),
+            log,
+            metrics,
+            tracer,
             last_activity: vec![None; chips],
-            ..Obs::default()
+            last_ps: 0,
         }
     }
 
-    /// Passes one engine event to every attached consumer. A chip
-    /// activity equal to the chip's previous one is not a change and
-    /// reaches no consumer.
+    /// True when some consumer is attached.
+    #[inline(always)]
+    pub(crate) fn attached(&self) -> bool {
+        self.attached
+    }
+
+    /// Passes one engine event to every attached consumer. Inlined, so
+    /// an unobserved run pays one branch per emission site.
+    #[inline(always)]
     pub(crate) fn emit(&mut self, ev: SimEvent) {
+        if self.attached {
+            self.route(ev);
+        }
+    }
+
+    /// [`Obs::emit`]'s work for an observed run. A chip activity equal to
+    /// the chip's previous one is not a change and reaches no consumer.
+    #[inline(never)]
+    fn route(&mut self, ev: SimEvent) {
         let t = ev.timestamp_ps();
         debug_assert!(t >= self.last_ps, "observer event time went backwards");
         self.last_ps = t;
@@ -812,13 +839,6 @@ impl Obs {
         if let Some(log) = &mut self.log {
             log.on(ev);
         }
-    }
-
-    /// True when the causal tracer is the only consumer: such a run
-    /// serves train windows and books their batches, replaying the
-    /// tracer's records (see [`Obs::replay`]).
-    pub(crate) fn tracer_only(&self) -> bool {
-        self.tracer.is_some() && self.log.is_none() && self.metrics.is_none()
     }
 
     /// Fills `m` with the tracer's state and the hub's.
@@ -1092,13 +1112,25 @@ mod tests {
     /// A hub with only the event log attached; returns its recorded
     /// events after `events` and the end-of-run close.
     fn logged(chips: usize, events: &[SimEvent]) -> EventSink<SimEvent> {
-        let mut obs = Obs::new(chips);
-        obs.log = Some(EventLog::new(64));
+        let mut obs = Obs::new(chips, Some(EventLog::new(64)), None, None);
         for ev in events {
             obs.emit(ev.clone());
         }
         let (run, _) = obs.finish(t(100), &simcore::EngineProfile::default());
         run.expect("event log attached").events
+    }
+
+    /// A hub with no consumer routes nothing: an event stamped before the
+    /// previous one trips no timestamp assert, and no chip activity is
+    /// remembered for the dedup.
+    #[test]
+    fn a_hub_with_no_consumer_routes_nothing() {
+        let mut obs = Obs::new(1, None, None, None);
+        assert!(!obs.attached());
+        obs.emit(activity(10, 0, ChipActivity::Serving));
+        obs.emit(credit(5, 100.0));
+        assert_eq!(obs.last_activity, [None]);
+        assert_eq!(obs.last_ps, 0);
     }
 
     #[test]
@@ -1256,8 +1288,7 @@ mod tests {
     #[test]
     fn prof_keys_match_publication() {
         let reg = MetricsRegistry::new();
-        let mut obs = Obs::new(1);
-        obs.metrics = Some(ObsMetrics::new(&reg));
+        let obs = Obs::new(1, None, Some(ObsMetrics::new(&reg)), None);
         let profile = simcore::EngineProfile {
             events: 11,
             heap_pushes: 12,
@@ -1422,8 +1453,7 @@ mod tests {
     #[test]
     fn metrics_handles_count_decisions() {
         let reg = MetricsRegistry::new();
-        let mut obs = Obs::new(1);
-        obs.metrics = Some(ObsMetrics::new(&reg));
+        let mut obs = Obs::new(1, None, Some(ObsMetrics::new(&reg)), None);
         for ev in [
             SimEvent::TaGather {
                 at: t(1),

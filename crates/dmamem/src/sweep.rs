@@ -421,7 +421,7 @@ impl SweepCtx {
         shared
     }
 
-    /// Runs one job (memoized). Equivalent to a one-job [`run_batch`].
+    /// Runs one job (memoized). Equivalent to a one-job [`Self::run_batch`].
     pub fn run(
         &self,
         config: &SystemConfig,

@@ -106,9 +106,12 @@ impl ServerSimulator {
     /// act, are only counted; `tests/fast_forward.rs` pins the
     /// conservation identity bit for bit) — this knob exists as the test
     /// oracle for that claim and as an escape hatch while debugging
-    /// event-order issues. A traced run ([`with_tracing`]) records the
-    /// same span records either way, byte for byte.
+    /// event-order issues. Any observer turns the fast-forward off anyway,
+    /// and an event log or metrics ([`with_observability`]) the train
+    /// windows and off-queue events too. A traced run ([`with_tracing`])
+    /// records the same span records either way, byte for byte.
     ///
+    /// [`with_observability`]: ServerSimulator::with_observability
     /// [`with_tracing`]: ServerSimulator::with_tracing
     pub fn with_classic_event_core(mut self) -> Self {
         self.classic = true;
@@ -147,13 +150,14 @@ impl ServerSimulator {
     /// `dmamem.trace.dropped` land in the metrics snapshot (when
     /// observability is on) so loss is never silent.
     ///
-    /// Tracing alone keeps the default engine's fast paths: steady
+    /// Tracing alone keeps the default engine's train path: steady
     /// request trains are booked a period at a time, and each booked
     /// period pushes the span records of the period taped through the
     /// handlers again, shifted in time and span ids, so the records are
-    /// those of the classic core. Combined with
+    /// those of the classic core. It gives up only the epoch
+    /// fast-forward, as any attached observer does. Combined with
     /// [`with_observability`](ServerSimulator::with_observability), the
-    /// run takes the queued path, like any observed run.
+    /// run takes the queued path, like any run with an event log.
     ///
     /// # Panics
     ///
@@ -193,30 +197,20 @@ impl ServerSimulator {
     ///
     /// Panics if the trace references an out-of-range page or bus.
     pub fn run(&self, trace: &Trace) -> SimResult {
-        let mut engine = Engine::new(&self.config, &self.scheme, trace);
+        let log = self.observability.map(EventLog::new);
+        let metrics = self
+            .observability
+            .map(|_| ObsMetrics::new(&MetricsRegistry::new()));
+        let c = &self.config;
+        let tracer = self.tracing.as_ref().map(|(capacity, spill)| {
+            let powers = PowerMode::ALL.map(|m| c.power_model.mode_power_mw(m));
+            Tracer::new(*capacity, c.chips, c.buses.len(), powers, spill.clone())
+        });
+        let obs = Obs::new(c.chips, log, metrics, tracer);
+        let mut engine = Engine::new(c, &self.scheme, trace, obs);
         engine.classic = self.classic;
+        engine.trains = !self.classic && self.observability.is_none();
         engine.live = self.live.clone();
-        engine.obs_quiet = self.observability.is_none() && self.tracing.is_none();
-        if let Some(capacity) = self.observability {
-            engine.obs.log = Some(EventLog::new(capacity));
-            engine.obs.metrics = Some(ObsMetrics::new(&MetricsRegistry::new()));
-        }
-        if let Some((capacity, spill)) = &self.tracing {
-            let m = &self.config.power_model;
-            let powers = [
-                m.mode_power_mw(PowerMode::Active),
-                m.mode_power_mw(PowerMode::Standby),
-                m.mode_power_mw(PowerMode::Nap),
-                m.mode_power_mw(PowerMode::Powerdown),
-            ];
-            engine.obs.tracer = Some(Tracer::new(
-                *capacity,
-                self.config.chips,
-                self.config.buses.len(),
-                powers,
-                spill.clone(),
-            ));
-        }
         engine.run()
     }
 }
@@ -534,12 +528,6 @@ struct Engine<'a> {
     /// (no fast-forward, no train windows); see
     /// [`ServerSimulator::with_classic_event_core`].
     classic: bool,
-    /// No observer is attached: the engine builds no [`SimEvent`], and
-    /// skipping a no-op tick cannot lose an event-stream record or metric
-    /// increment. The only observer guard; set before the run starts
-    /// (observers never attach mid-run). The epoch fast-forward needs it;
-    /// the train path needs it or a tracer-only run (see `trains`).
-    obs_quiet: bool,
     /// Live telemetry: the engine stores a coarse sim-clock watermark
     /// into it whenever the clock has advanced [`WATERMARK_STRIDE_PS`]
     /// past the last store (a pure atomic store — see
@@ -548,15 +536,14 @@ struct Engine<'a> {
     /// Serve steady request trains inline ([`Engine::serve_train`]) and
     /// book their batches ([`batch`]), and keep the events of chips with
     /// no DMA work and the trace instant off the queue ([`lazy`]): not
-    /// the classic core, and no observer but the causal tracer. An event
-    /// log or metrics registry reads the queued path's exact counts and
-    /// every event of each booked period, so observed runs take the
-    /// queued path. Set before the run schedules anything.
+    /// the classic core, and no event log or metrics registry: those read
+    /// the queued path's exact counts and every event of each booked
+    /// period, so observed runs take the queued path. With trains on, the
+    /// hub's [`Obs::attached`] says the causal tracer is: batches then end
+    /// before the next event outside the lane and replay the tracer's
+    /// records of their reference period ([`batch`]). Set before the run
+    /// schedules anything.
     trains: bool,
-    /// `trains` with the causal tracer attached: batches end before the
-    /// next event outside the lane, and replay the tracer's records of
-    /// their reference period ([`batch`]).
-    traced: bool,
     /// True while a train window is open: [`Engine::schedule`] then puts
     /// events in `lane` instead of the queue.
     lane_open: bool,
@@ -591,7 +578,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(config: &'a SystemConfig, scheme: &'a Scheme, trace: &'a Trace) -> Self {
+    fn new(config: &'a SystemConfig, scheme: &'a Scheme, trace: &'a Trace, obs: Obs) -> Self {
         let chips = (0..config.chips)
             .map(|i| ChipCtl {
                 chip: Chip::new(i, config.power_model.clone()),
@@ -663,13 +650,11 @@ impl<'a> Engine<'a> {
             ),
             served: 0,
             service_sum_ps: 0,
-            obs: Obs::new(config.chips),
+            obs,
             phases: PhaseProfile::default(),
             classic: false,
-            obs_quiet: true,
             live: None,
             trains: false,
-            traced: false,
             lane_open: false,
             lane: Lane::new(),
             tape: Tape::new(),
@@ -780,9 +765,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Emits the chip's current activity (the observer hub drops
-    /// repeats). Callers check `obs_quiet` first, so the quiet path pays
-    /// one branch and no call.
+    /// repeats). With no observer attached it returns before reading the
+    /// chip, so an unobserved run pays one branch.
+    #[inline(always)]
     fn emit_activity(&mut self, chip: usize) {
+        if !self.obs.attached() {
+            return;
+        }
         let c = &self.chips[chip];
         let activity = match c.chip.phase() {
             ChipPhase::Steady(PowerMode::Active) => {
@@ -805,8 +794,6 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> SimResult {
-        self.trains = !self.classic && (self.obs_quiet || self.obs.tracer_only());
-        self.traced = self.trains && !self.obs_quiet;
         if let Some(first) = self.trace.peek_time() {
             self.schedule(first, Ev::Trace);
         }
@@ -885,7 +872,8 @@ impl<'a> Engine<'a> {
                 min_ps: s.min_slack_ps(),
             }
         });
-        if let (Some(s), false) = (&self.slack, self.obs_quiet) {
+        // Not left to `emit`, whose test comes after the box is allocated.
+        if let (Some(s), true) = (&self.slack, self.obs.attached()) {
             self.obs.emit(SimEvent::SlackClose {
                 at: horizon,
                 totals: Box::new(SlackTotals {
@@ -1013,14 +1001,12 @@ impl<'a> Engine<'a> {
             self.hand_back_chip(chip);
         }
         self.active_transfers += 1;
-        if !self.obs_quiet {
-            self.obs.emit(SimEvent::TransferStart {
-                at: self.now,
-                transfer: tid,
-                bus,
-            });
-            self.emit_activity(chip);
-        }
+        self.obs.emit(SimEvent::TransferStart {
+            at: self.now,
+            transfer: tid,
+            bus,
+        });
+        self.emit_activity(chip);
         if let Some(tracker) = &mut self.tracker {
             tracker.record(page);
         }
@@ -1043,7 +1029,7 @@ impl<'a> Engine<'a> {
         let pending = self.chips[chip].pending_count();
         if let Some(slack) = &mut self.slack {
             slack.debit_proc(self.proc_service, pending);
-            if pending > 0 && !self.obs_quiet {
+            if pending > 0 {
                 self.obs.emit(SimEvent::SlackDebit {
                     at: self.now,
                     cause: DebitCause::Proc,
@@ -1319,7 +1305,7 @@ impl<'a> Engine<'a> {
     fn commute(&mut self, ev: Ev) {
         let before = cfg!(debug_assertions).then(|| self.train_state());
         // Its span records would land among the taped period's.
-        if self.traced {
+        if self.obs.attached() {
             self.tape.taint();
         }
         let taping = std::mem::replace(&mut self.tape.on, false);
@@ -1341,14 +1327,12 @@ impl<'a> Engine<'a> {
         if let Some(slack) = &mut self.slack {
             let amount_ps = slack.credit_request();
             self.tape.slack(SlackOp::Credit(amount_ps));
-            if !self.obs_quiet {
-                self.obs.emit(SimEvent::SlackCredit {
-                    at: self.now,
-                    requests: 1,
-                    amount_ps,
-                    balance_ps: slack.slack_ps(),
-                });
-            }
+            self.obs.emit(SimEvent::SlackCredit {
+                at: self.now,
+                requests: 1,
+                amount_ps,
+                balance_ps: slack.slack_ps(),
+            });
         }
         // simlint::allow(panic-path, "a request's slot is created at TransferStart and lives until the last completion; a vacant slot means the event queue itself is corrupt")
         let chip = self.tracks[req.slot].chip;
@@ -1358,15 +1342,13 @@ impl<'a> Engine<'a> {
         ) || matches!(self.chips[chip].chip.phase(), ChipPhase::GoingDown { .. });
 
         let gathering = req.is_first && self.scheme.ta.is_some() && sleeping;
-        if !self.obs_quiet {
-            self.obs.emit(SimEvent::RequestIssued {
-                at: self.now,
-                transfer: req.transfer,
-                is_first: req.is_first,
-                is_last: req.is_last,
-                wake_pending: sleeping && !gathering,
-            });
-        }
+        self.obs.emit(SimEvent::RequestIssued {
+            at: self.now,
+            transfer: req.transfer,
+            is_first: req.is_first,
+            is_last: req.is_last,
+            wake_pending: sleeping && !gathering,
+        });
         if gathering {
             // DMA-TA: buffer the first request; the stream stays blocked
             // until the ack at service start.
@@ -1380,14 +1362,12 @@ impl<'a> Engine<'a> {
             self.live_requests += 1;
             self.ta_pending_total += 1;
             self.delayed_firsts += 1;
-            if !self.obs_quiet {
-                self.obs.emit(SimEvent::TaGather {
-                    at: self.now,
-                    chip,
-                    pending: self.chips[chip].pending_count(),
-                    transfer: req.transfer,
-                });
-            }
+            self.obs.emit(SimEvent::TaGather {
+                at: self.now,
+                chip,
+                pending: self.chips[chip].pending_count(),
+                transfer: req.transfer,
+            });
             self.check_release(chip);
         } else {
             self.enqueue_dma(chip, req);
@@ -1451,35 +1431,31 @@ impl<'a> Engine<'a> {
                 let after_wake = slack.slack_ps();
                 slack.debit_residual(residual);
                 let after_residual = slack.slack_ps();
-                if !self.obs_quiet {
-                    for (cause, amount_ps, balance_ps) in [
-                        (DebitCause::Wake, wake_amount, after_wake),
-                        (DebitCause::Residual, residual, after_residual),
-                    ] {
-                        if amount_ps > 0.0 {
-                            self.obs.emit(SimEvent::SlackDebit {
-                                at: self.now,
-                                cause,
-                                amount_ps,
-                                balance_ps,
-                            });
-                        }
+                for (cause, amount_ps, balance_ps) in [
+                    (DebitCause::Wake, wake_amount, after_wake),
+                    (DebitCause::Residual, residual, after_residual),
+                ] {
+                    if amount_ps > 0.0 {
+                        self.obs.emit(SimEvent::SlackDebit {
+                            at: self.now,
+                            cause,
+                            amount_ps,
+                            balance_ps,
+                        });
                     }
                 }
             }
-            if !self.obs_quiet {
-                self.obs.emit(SimEvent::TaRelease {
+            self.obs.emit(SimEvent::TaRelease {
+                at: self.now,
+                chip,
+                released: n,
+                cause,
+            });
+            for p in &self.chips[chip].pending {
+                self.obs.emit(SimEvent::TransferRelease {
                     at: self.now,
-                    chip,
-                    released: n,
-                    cause,
+                    transfer: p.req.transfer,
                 });
-                for p in &self.chips[chip].pending {
-                    self.obs.emit(SimEvent::TransferRelease {
-                        at: self.now,
-                        transfer: p.req.transfer,
-                    });
-                }
             }
             let c = &mut self.chips[chip];
             for p in &c.pending_per_bus {
@@ -1508,9 +1484,7 @@ impl<'a> Engine<'a> {
     /// Drives a chip forward: wake it if it has work while sleeping, start
     /// the next service if it is free, or arm the policy timer if idle.
     fn make_progress(&mut self, chip: usize) {
-        if !self.obs_quiet {
-            self.emit_activity(chip);
-        }
+        self.emit_activity(chip);
         let has_work = !self.chips[chip].queues_empty();
         match self.chips[chip].chip.phase() {
             // Deliberately NOT collapsed into a match guard: a failed guard
@@ -1527,16 +1501,14 @@ impl<'a> Engine<'a> {
                 let done = self.chips[chip].chip.begin_wake(self.now);
                 self.timer_gen[chip] += 1; // cancel any armed sleep
                 self.schedule(done, Ev::TransitionDone { chip });
-                if !self.obs_quiet {
-                    self.obs.emit(SimEvent::ModeTransition {
-                        at: self.now,
-                        chip,
-                        from,
-                        to: PowerMode::Active,
-                        latency: done - self.now,
-                    });
-                    self.emit_activity(chip);
-                }
+                self.obs.emit(SimEvent::ModeTransition {
+                    at: self.now,
+                    chip,
+                    from,
+                    to: PowerMode::Active,
+                    latency: done - self.now,
+                });
+                self.emit_activity(chip);
             }
             ChipPhase::GoingDown { .. } if has_work => {
                 self.wake_requested[chip] = true;
@@ -1576,12 +1548,10 @@ impl<'a> Engine<'a> {
                 self.buses[r.req.bus].ack_first(r.req.transfer, self.now);
                 self.schedule_bus_tick(r.req.bus);
             }
-            if !self.obs_quiet {
-                self.obs.emit(SimEvent::ServeStart {
-                    at: self.now,
-                    transfer: r.req.transfer,
-                });
-            }
+            self.obs.emit(SimEvent::ServeStart {
+                at: self.now,
+                transfer: r.req.transfer,
+            });
         } else if let Some(dur) = c.mig_ready.pop_front() {
             self.tape.taint();
             c.chip
@@ -1595,9 +1565,7 @@ impl<'a> Engine<'a> {
         self.serving_count += 1;
         let done = self.chips[chip].chip.busy_until();
         self.schedule(done, Ev::ServiceDone { chip });
-        if !self.obs_quiet {
-            self.emit_activity(chip);
-        }
+        self.emit_activity(chip);
     }
 
     /// [`mempower::PowerModel::service_time`] behind a one-entry memo:
@@ -1633,7 +1601,7 @@ impl<'a> Engine<'a> {
                     if let Some(slack) = &mut self.slack {
                         slack.debit_queue(delay);
                         self.tape.slack(SlackOp::DebitQueue(delay));
-                        if delay > 0.0 && !self.obs_quiet {
+                        if delay > 0.0 {
                             self.obs.emit(SimEvent::SlackDebit {
                                 at: self.now,
                                 cause: DebitCause::Queue,
@@ -1648,14 +1616,12 @@ impl<'a> Engine<'a> {
                 self.served += 1;
                 self.service_sum_ps += (self.now - arrival).as_ps();
                 self.dma_serving += service;
-                if !self.obs_quiet {
-                    self.obs.emit(SimEvent::RequestServed {
-                        at: self.now,
-                        transfer: req.transfer,
-                        is_last: req.is_last,
-                        service: self.now - arrival,
-                    });
-                }
+                self.obs.emit(SimEvent::RequestServed {
+                    at: self.now,
+                    transfer: req.transfer,
+                    is_last: req.is_last,
+                    service: self.now - arrival,
+                });
                 if req.is_last {
                     // is_last fires exactly once per transfer, so the slot
                     // created at transfer start is still occupied.
@@ -1672,9 +1638,7 @@ impl<'a> Engine<'a> {
             }
             Serving::Migration => self.tape.taint(),
         }
-        if !self.obs_quiet {
-            self.emit_activity(chip);
-        }
+        self.emit_activity(chip);
         self.try_serve(chip);
     }
 
@@ -1717,24 +1681,20 @@ impl<'a> Engine<'a> {
         };
         let done = self.chips[chip].chip.begin_sleep(self.now, target);
         self.schedule(done, Ev::TransitionDone { chip });
-        if !self.obs_quiet {
-            self.obs.emit(SimEvent::ModeTransition {
-                at: self.now,
-                chip,
-                from,
-                to: target,
-                latency: done - self.now,
-            });
-            self.emit_activity(chip);
-        }
+        self.obs.emit(SimEvent::ModeTransition {
+            at: self.now,
+            chip,
+            from,
+            to: target,
+            latency: done - self.now,
+        });
+        self.emit_activity(chip);
     }
 
     fn on_transition_done(&mut self, chip: usize) {
         let was_waking = matches!(self.chips[chip].chip.phase(), ChipPhase::Waking { .. });
         self.chips[chip].chip.complete_transition(self.now);
-        if !self.obs_quiet {
-            self.emit_activity(chip);
-        }
+        self.emit_activity(chip);
         let c = &mut self.chips[chip];
         if was_waking {
             let idle = self.now.saturating_since(self.idle_start[chip]);
@@ -1749,15 +1709,13 @@ impl<'a> Engine<'a> {
                 self.wake_requested[chip] = false;
                 let done = c.chip.begin_wake(self.now);
                 self.schedule(done, Ev::TransitionDone { chip });
-                if !self.obs_quiet {
-                    self.obs.emit(SimEvent::ModeTransition {
-                        at: self.now,
-                        chip,
-                        from: mode,
-                        to: PowerMode::Active,
-                        latency: done - self.now,
-                    });
-                }
+                self.obs.emit(SimEvent::ModeTransition {
+                    at: self.now,
+                    chip,
+                    from: mode,
+                    to: PowerMode::Active,
+                    latency: done - self.now,
+                });
             } else {
                 // Arm the next deeper step (thresholds measured from the
                 // start of the idle period).
@@ -1780,7 +1738,7 @@ impl<'a> Engine<'a> {
         self.last_epoch_tick = self.now;
         if let Some(slack) = &mut self.slack {
             slack.debit_epoch(ta.epoch, self.ta_pending_total);
-            if self.ta_pending_total > 0 && !self.obs_quiet {
+            if self.ta_pending_total > 0 {
                 self.obs.emit(SimEvent::SlackDebit {
                     at: self.now,
                     cause: DebitCause::Epoch,
@@ -1789,12 +1747,10 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        if !self.obs_quiet {
-            self.obs.emit(SimEvent::EpochTick {
-                at: self.now,
-                pending: self.ta_pending_total,
-            });
-        }
+        self.obs.emit(SimEvent::EpochTick {
+            at: self.now,
+            pending: self.ta_pending_total,
+        });
         if self.ta_pending_total > 0 {
             for chip in 0..self.chips.len() {
                 if self.chips[chip].pending_count() > 0 {
@@ -1818,7 +1774,7 @@ impl<'a> Engine<'a> {
             // train window (`jump` unset) the next real event is in the
             // lane, at most a slot away, so the queued path would not jump
             // either.
-            if jump && self.ta_pending_total == 0 && self.obs_quiet {
+            if jump && self.ta_pending_total == 0 && !self.obs.attached() {
                 if let Some((t, _)) = self.next_key() {
                     let gap_ps = t.saturating_since(self.now).as_ps();
                     let epoch_ps = ta.epoch.as_ps();
@@ -1848,21 +1804,19 @@ impl<'a> Engine<'a> {
         };
         self.page_moves += moves.len() as u64;
         self.max_hot_chips = self.max_hot_chips.max(stats.hot_chips);
-        if !self.obs_quiet {
-            self.obs.emit(SimEvent::PlPlan {
+        self.obs.emit(SimEvent::PlPlan {
+            at: self.now,
+            hot_pages: stats.hot_pages,
+            hot_chips: stats.hot_chips,
+            moves: moves.len(),
+        });
+        for m in &moves {
+            self.obs.emit(SimEvent::PageMove {
                 at: self.now,
-                hot_pages: stats.hot_pages,
-                hot_chips: stats.hot_chips,
-                moves: moves.len(),
+                page: m.page,
+                from: m.from,
+                to: m.to,
             });
-            for m in &moves {
-                self.obs.emit(SimEvent::PageMove {
-                    at: self.now,
-                    page: m.page,
-                    from: m.from,
-                    to: m.to,
-                });
-            }
         }
         // Each move is a page copy: read on the source chip, write on the
         // destination. Both sides burn active cycles billed to the

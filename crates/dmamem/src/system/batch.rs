@@ -537,7 +537,7 @@ impl Engine<'_> {
                 );
                 self.tape_period();
                 debug_assert!(
-                    !self.traced || {
+                    !self.obs.attached() || {
                         let [landed, end, _] = &self.batch.marks;
                         landed.repeats(end)
                     },
@@ -589,7 +589,7 @@ impl Engine<'_> {
     /// head is memoized), since a chip that loses its DMA work inside the
     /// window moves its events out of the lane, and can bring it forward.
     fn batch_bound(&mut self, t: SimTime) -> SimTime {
-        if self.traced {
+        if self.obs.attached() {
             let b = self.next_key().map_or(SimTime::NEVER, |(at, _)| at);
             if self.batch.bound.is_some_and(|prev| prev != b) {
                 self.batch.attempts = 0;
@@ -680,7 +680,7 @@ impl Engine<'_> {
     /// of its state.
     fn tape_period(&mut self) {
         self.tape.restart();
-        if self.traced {
+        if self.obs.attached() {
             let Engine { obs, batch, .. } = self;
             let [start, ..] = &mut batch.marks;
             obs.mark(start);
@@ -695,7 +695,7 @@ impl Engine<'_> {
     /// Stops taping, the tracer's records included.
     pub(super) fn stop_taping(&mut self) {
         // The tracer's tape runs exactly while the engine's does.
-        if std::mem::replace(&mut self.tape.on, false) && self.traced {
+        if std::mem::replace(&mut self.tape.on, false) && self.obs.attached() {
             if let Some(tape) = self.obs.stop_tape() {
                 self.batch.span_tape = Some(tape);
             }
@@ -706,7 +706,7 @@ impl Engine<'_> {
     /// untraced): its records can be replayed, and the tracer's state at
     /// the boundary repeats its state at the period's start.
     fn trace_repeats(&mut self) -> bool {
-        if !self.traced {
+        if !self.obs.attached() {
             return true;
         }
         let Engine { obs, batch, .. } = self;
@@ -720,7 +720,7 @@ impl Engine<'_> {
     /// tracer as it found it and pushed the reference period's records
     /// again.
     fn trace_verified(&mut self, by: SimDuration) -> bool {
-        if !self.traced {
+        if !self.obs.attached() {
             return true;
         }
         let Engine { obs, batch, .. } = self;
@@ -1078,7 +1078,7 @@ impl Engine<'_> {
             ev => ev,
         });
 
-        if self.traced {
+        if self.obs.attached() {
             let Engine { obs, batch, .. } = self;
             // simlint::allow(panic-path, "a traced reference period starts the tracer's tape and only a batch or a stop takes it")
             let tape = obs.stop_tape().expect("a traced period runs a tape");
